@@ -10,11 +10,11 @@ from .frontier import (VonMisesLikeLaw, gaussian_rdp_reference,
                        rdp_point)
 from .metrics import (ExperimentResult, avg_conditional_entropy,
                       differential_entropy_quadrature, ks_statistic,
-                      ks_threshold, mse, plugin_entropy, wasserstein1)
+                      ks_threshold, mse, plugin_entropy)
 from .rng import BLOCK, SampleStreams
 from .simlab import ExperimentConfig, parse_config_file, run_experiment, sweep
 from .sources import (CircleSource, GaussianSource, TruncatedLaw,
-                      UniformSource, parse_source, sample_truncated)
+                      UniformSource, parse_source)
 from .stagger import (BoundaryTable, CodeDistribution, StaggeredSpec,
                       build_boundaries, cell_left, decode, dithered_reference,
                       encode, exact_code_distribution, simulate_pipeline)

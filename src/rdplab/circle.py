@@ -27,15 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import ExperimentResult, RunningMoments, ks_statistic, plugin_entropy
+from .metrics import (ExperimentResult, ks_statistic, plugin_entropy,
+                      simulate_blocks)
 from .rng import SampleStreams
-
-TWO_PI = 2.0 * math.pi
+from .sources import CircleSource
 
 
 def wrap_angle(theta):
     """Canonical wrap onto (-pi, pi].  All circle arithmetic goes through here."""
-    return theta - TWO_PI * np.ceil((theta - math.pi) / TWO_PI)
+    return theta - math.tau * np.ceil((theta - math.pi) / math.tau)
 
 
 def _sinc(x: float) -> float:
@@ -130,27 +130,20 @@ def simulate_staggered_circle(scheme: CircleScheme, samples: int,
     if scheme.variant != "staggered":
         raise ValueError("scheme must be staggered")
     levels, offsets = scheme.levels, scheme.offsets
-    cell = TWO_PI / levels
+    cell = math.tau / levels
     noise_half = math.pi / (levels * offsets)
 
-    dist = RunningMoments()
-    counts = np.zeros(levels, dtype=np.int64)
-    recon_parts = []
-    for _, size, rng in streams.iter_blocks(samples):
-        theta = -math.pi + rng.random(size) * TWO_PI
+    def step(rng, size):
+        theta = -math.pi + rng.random(size) * math.tau
         n = rng.integers(0, offsets, size)
         noise = (rng.random(size) * 2.0 - 1.0) * noise_half
-        offset = TWO_PI * n / (levels * offsets)
+        offset = math.tau * n / (levels * offsets)
         idx = np.floor((theta - offset) / cell + 0.5).astype(np.int64)
-        center = offset + idx * cell
-        theta_hat = wrap_angle(center + noise)
-        dist.update(2.0 - 2.0 * np.cos(theta - theta_hat))
-        counts += np.bincount(idx % levels, minlength=levels)
-        recon_parts.append(theta_hat)
+        theta_hat = wrap_angle(offset + idx * cell + noise)
+        return 2.0 - 2.0 * np.cos(theta - theta_hat), idx % levels, theta_hat
 
-    recon = np.concatenate(recon_parts)
-    return _circle_result(dist, counts, recon, samples, streams.seed,
-                          rate_bits=None)
+    return _circle_result(simulate_blocks(streams, samples, step, levels),
+                          samples, streams.seed, rate_bits=None)
 
 
 def simulate_dithered_circle(levels: int, samples: int,
@@ -163,40 +156,26 @@ def simulate_dithered_circle(levels: int, samples: int,
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    cell = TWO_PI / levels
+    cell = math.tau / levels
 
-    dist = RunningMoments()
-    counts = np.zeros(levels, dtype=np.int64)
-    recon_parts = []
-    for _, size, rng in streams.iter_blocks(samples):
-        theta = -math.pi + rng.random(size) * TWO_PI
+    def step(rng, size):
+        theta = -math.pi + rng.random(size) * math.tau
         dither = (rng.random(size) - 0.5) * cell
         idx = np.floor((theta + dither) / cell + 0.5).astype(np.int64)
         theta_hat = wrap_angle(idx * cell - dither)
-        dist.update(2.0 - 2.0 * np.cos(theta - theta_hat))
-        counts += np.bincount(idx % levels, minlength=levels)
-        recon_parts.append(theta_hat)
+        return 2.0 - 2.0 * np.cos(theta - theta_hat), idx % levels, theta_hat
 
-    recon = np.concatenate(recon_parts)
-    return _circle_result(dist, counts, recon, samples, streams.seed,
-                          rate_bits=math.log2(levels))
+    return _circle_result(simulate_blocks(streams, samples, step, levels),
+                          samples, streams.seed, rate_bits=math.log2(levels))
 
 
-def _uniform_angle_cdf(x):
-    return np.clip((np.asarray(x, dtype=float) + math.pi) / TWO_PI, 0.0, 1.0)
-
-
-def _circle_result(dist, counts, recon, samples, seed, rate_bits):
+def _circle_result(blocks, samples, seed, rate_bits):
+    dist, counts, recon = blocks
     index_entropy = plugin_entropy(counts)
-    ks = ks_statistic(recon, _uniform_angle_cdf)
-    # W1 against the uniform reference via midpoint plotting positions
-    grid = -math.pi + TWO_PI * (np.arange(samples) + 0.5) / samples
-    w1 = float(np.mean(np.abs(np.sort(recon) - grid)))
     return ExperimentResult(
         rate_bits=index_entropy if rate_bits is None else rate_bits,
         mse=dist.mean,
-        perception_ks=ks,
-        perception_w1=w1,
+        perception_ks=ks_statistic(recon, CircleSource().cdf),
         n_samples=samples,
         seed=seed,
         mc_radius_mse=dist.mc_radius(),

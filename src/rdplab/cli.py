@@ -18,18 +18,11 @@ import numpy as np
 
 from . import circle, frontier, simlab, stagger
 from .quadrature import QuadratureError
+from .simlab import fmt
 from .sources import parse_source
 
 CSV_HEADER = "scheme,params,rate_bits,distortion,perception_ks,provenance,seed,n_samples"
 _COLUMNS = CSV_HEADER.split(",")
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.9g}"
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -39,7 +32,7 @@ def rows_to_csv(rows: list[dict]) -> str:
     for row in rows:
         writer.writerow([
             str(row[c]) if c in ("scheme", "params", "provenance")
-            else _fmt(row[c]) for c in _COLUMNS])
+            else fmt(row[c]) for c in _COLUMNS])
     return buf.getvalue()
 
 
@@ -59,16 +52,8 @@ def rows_to_json(rows: list[dict]) -> str:
 
 
 def _point_row(scheme: str, point: circle.FrontierPoint) -> dict:
-    return {
-        "scheme": scheme,
-        "params": point.params,
-        "rate_bits": point.rate_bits,
-        "distortion": point.distortion,
-        "perception_ks": None,
-        "provenance": point.provenance,
-        "seed": None,
-        "n_samples": None,
-    }
+    return simlab.row(scheme, point.params, point.provenance, point.rate_bits,
+                      point.distortion)
 
 
 def _add_output_flags(sp):
@@ -194,13 +179,11 @@ def _run(args) -> list[dict]:
         return _scalar_exact_rows(args)
     if cmd == "two-cell":
         rep = circle.verify_two_cell_optimality(args.r, args.lam, args.grid)
-        params = (f"r={_fmt(args.r)};lambda={_fmt(args.lam)};grid={args.grid};"
-                  f"alpha_opt={_fmt(rep.alpha_opt)};"
+        params = (f"r={fmt(args.r)};lambda={fmt(args.lam)};grid={args.grid};"
+                  f"alpha_opt={fmt(rep.alpha_opt)};"
                   f"is_midpoint={int(rep.is_midpoint)};"
                   f"boundary_optimum={int(rep.boundary_optimum)}")
-        return [{"scheme": "two-cell", "params": params, "rate_bits": None,
-                 "distortion": None, "perception_ks": None,
-                 "provenance": "grid-search", "seed": None, "n_samples": None}]
+        return [simlab.row("two-cell", params, "grid-search")]
     # sweep
     base = simlab.parse_config_file(args.config)
     if args.axis is None:
@@ -217,30 +200,19 @@ def _scalar_exact_rows(args) -> list[dict]:
         n_offsets=args.offsets, origin=args.origin,
         literal_paper_indexing=args.literal_paper_indexing)
     dist = stagger.exact_code_distribution(spec)
-    base = (f"source={args.source};delta={_fmt(args.delta)};"
-            f"N={args.offsets};origin={_fmt(args.origin)}")
-    rows = [{
-        "scheme": "scalar-staggered",
-        "params": base + f";pooled_H={_fmt(dist.pooled_entropy_bits)}",
-        "rate_bits": dist.avg_conditional_entropy_bits,
-        "distortion": dist.mse_exact,
-        "perception_ks": 0.0,
-        "provenance": "exact",
-        "seed": None,
-        "n_samples": None,
-    }, {
-        "scheme": "scalar-dithered",
-        "params": (f"source={args.source};delta={_fmt(args.delta)};"
-                   f"cells={dist.dithered.n_cells};"
-                   f"H={_fmt(dist.dithered.entropy_bits)}"),
-        "rate_bits": dist.dithered.fixed_rate_bits,
-        "distortion": dist.dithered.mse,
-        "perception_ks": None,
-        "provenance": "exact",
-        "seed": None,
-        "n_samples": None,
-    }]
-    return rows
+    base = (f"source={args.source};delta={fmt(args.delta)};"
+            f"N={args.offsets};origin={fmt(args.origin)}")
+    return [
+        simlab.row("scalar-staggered",
+                   base + f";pooled_H={fmt(dist.pooled_entropy_bits)}",
+                   "exact", dist.avg_conditional_entropy_bits, dist.mse_exact,
+                   0.0),
+        simlab.row("scalar-dithered",
+                   (f"source={args.source};delta={fmt(args.delta)};"
+                    f"cells={dist.dithered.n_cells};"
+                    f"H={fmt(dist.dithered.entropy_bits)}"),
+                   "exact", dist.dithered.fixed_rate_bits, dist.dithered.mse),
+    ]
 
 
 def cli_dispatch(argv) -> int:

@@ -26,8 +26,7 @@ import numpy as np
 from .circle import FrontierPoint
 from .quadrature import adaptive_simpson
 
-TWO_PI = 2.0 * math.pi
-LN_TWO_PI = math.log(TWO_PI)
+LN_TWO_PI = math.log(math.tau)
 
 # Quadrature targets: absolute 1e-10 per integral; switch to the scaled
 # variable beyond this concentration.

@@ -3,15 +3,18 @@
 Determinism contract: a given (scheme, params, samples, seed) always
 produces bit-identical statistics.  Randomness is consumed in fixed
 1024-sample blocks with one counter-based substream per block (see
-``rng``), and partial results merge in block order, so the execution
-chunk size never influences the numbers; it only sets how many blocks a
-worker would receive at a time.
+``rng``), and partial results merge in block order.  ``chunk_size`` is
+validated (a positive multiple of the block) but nothing reads it yet.
+
+Every output row, Monte Carlo or exact, is built by :func:`row`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import circle, frontier, stagger
 from .rng import BLOCK, SampleStreams
@@ -51,21 +54,35 @@ class ExperimentConfig:
                 f"chunk_size must be a positive multiple of {BLOCK}")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
+def fmt(value) -> str:
+    """Format one output field: integers exactly, floats to 9 significant
+    digits, None as the empty string."""
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.9g}"
 
 
-def _result_row(scheme: str, params: str, res) -> dict:
+def row(scheme: str, params: str, provenance: str, rate_bits=None,
+        distortion=None, perception_ks=None, seed=None,
+        n_samples=None) -> dict:
+    """One row of the shared output schema."""
     return {
         "scheme": scheme,
         "params": params,
-        "rate_bits": res.rate_bits,
-        "distortion": res.mse,
-        "perception_ks": res.perception_ks,
-        "provenance": "monte-carlo",
-        "seed": res.seed,
-        "n_samples": res.n_samples,
+        "rate_bits": rate_bits,
+        "distortion": distortion,
+        "perception_ks": perception_ks,
+        "provenance": provenance,
+        "seed": seed,
+        "n_samples": n_samples,
     }
+
+
+def _result_row(scheme: str, params: str, res) -> dict:
+    return row(scheme, params, "monte-carlo", res.rate_bits, res.mse,
+               res.perception_ks, res.seed, res.n_samples)
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
@@ -93,23 +110,15 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
             literal_paper_indexing=config.literal_paper_indexing,
         )
         res = stagger.simulate_pipeline(spec, config.n_samples, streams)
-        params = (f"source={config.source};delta={_fmt(config.delta)};"
-                  f"N={config.offsets};origin={_fmt(config.origin)}")
+        params = (f"source={config.source};delta={fmt(config.delta)};"
+                  f"N={config.offsets};origin={fmt(config.origin)}")
         if config.literal_paper_indexing:
             params += ";literal"
         return [_result_row(config.scheme, params, res)]
     # frontier: single quadrature point, no randomness involved
     point = frontier.rdp_point(config.lam)
-    return [{
-        "scheme": "frontier",
-        "params": point.params,
-        "rate_bits": point.rate_bits,
-        "distortion": point.distortion,
-        "perception_ks": None,
-        "provenance": point.provenance,
-        "seed": None,
-        "n_samples": None,
-    }]
+    return [row("frontier", point.params, point.provenance, point.rate_bits,
+                point.distortion)]
 
 
 _AXES = {"levels": int, "offsets": int, "delta": float, "lambda": float,

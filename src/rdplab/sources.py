@@ -29,8 +29,6 @@ GAUSS_SUPPORT_SIGMAS = 10.0
 # degenerate (an ill-formed boundary table, not a sampling request).
 DEGENERATE_MASS = 1e-12
 
-TWO_PI = 2.0 * math.pi
-
 
 def _as_array(x):
     a = np.asarray(x, dtype=float)
@@ -122,7 +120,7 @@ class GaussianSource:
     def pdf(self, x):
         a, scalar = _as_array(x)
         z = (a - self.mu) / self.sigma
-        val = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(TWO_PI))
+        val = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(math.tau))
         return _ret(val, scalar)
 
     def cdf(self, x):
@@ -177,19 +175,19 @@ class CircleSource:
     def pdf(self, x):
         a, scalar = _as_array(x)
         inside = (a >= -math.pi) & (a <= math.pi)
-        return _ret(np.where(inside, 1.0 / TWO_PI, 0.0), scalar)
+        return _ret(np.where(inside, 1.0 / math.tau, 0.0), scalar)
 
     def cdf(self, x):
         a, scalar = _as_array(x)
-        return _ret(np.clip((a + math.pi) / TWO_PI, 0.0, 1.0), scalar)
+        return _ret(np.clip((a + math.pi) / math.tau, 0.0, 1.0), scalar)
 
     def quantile(self, u):
         a, scalar = _as_array(u)
         _check_unit_interval(a)
-        return _ret(-math.pi + a * TWO_PI, scalar)
+        return _ret(-math.pi + a * math.tau, scalar)
 
     def sample(self, rng: np.random.Generator, size=None):
-        return -math.pi + rng.random(size) * TWO_PI
+        return -math.pi + rng.random(size) * math.tau
 
     def mean_var_on(self, a: float, b: float):
         a = max(a, -math.pi)
@@ -201,7 +199,7 @@ SourceModel = UniformSource | GaussianSource | CircleSource
 
 
 def _std_pdf(z):
-    return np.exp(-0.5 * np.asarray(z, dtype=float) ** 2) / math.sqrt(TWO_PI)
+    return np.exp(-0.5 * np.asarray(z, dtype=float) ** 2) / math.sqrt(math.tau)
 
 
 def _std_cdf(z):
@@ -264,16 +262,20 @@ class TruncatedLaw:
             raise ValueError(
                 f"degenerate truncation [{self.a}, {self.b}]: parent mass "
                 f"{fb - fa:.3e} (ill-formed boundary table?)")
-        u = fa + rng.random(size) * (fb - fa)
-        # F(a) + U*(F(b)-F(a)) can round up to exactly F(b); keep u < 1.
-        u = np.minimum(u, np.nextafter(1.0, 0.0))
-        x = self.parent.quantile(u)
-        return np.clip(x, self.a, self.b)
+        return draw_truncated(self.parent, self.a, self.b, fa, fb, rng, size)
 
 
-def sample_truncated(law: TruncatedLaw, rng: np.random.Generator, size=None):
-    """Draw from the truncated law (module-level alias of law.sample)."""
-    return law.sample(rng, size)
+def draw_truncated(parent: SourceModel, a, b, fa, fb,
+                   rng: np.random.Generator, size=None):
+    """Draw from ``parent`` conditioned on [a, b], given fa = F(a), fb = F(b).
+
+    Inverse CDF: quantile(F(a) + U * (F(b) - F(a))), clipped to [a, b].
+    ``a``, ``b``, ``fa`` and ``fb`` may be arrays of one interval per draw.
+    """
+    u = fa + rng.random(size) * (fb - fa)
+    # F(a) + U*(F(b)-F(a)) can round up to exactly F(b); keep u < 1.
+    u = np.minimum(u, np.nextafter(1.0, 0.0))
+    return np.clip(parent.quantile(u), a, b)
 
 
 def parse_source(text: str) -> SourceModel:
@@ -288,6 +290,8 @@ def parse_source(text: str) -> SourceModel:
         p1, p2 = (float(v) for v in tail.split(","))
     except Exception as exc:
         raise ValueError(f"malformed source parameters in {text!r}") from exc
+    if not (math.isfinite(p1) and math.isfinite(p2)):
+        raise ValueError(f"source parameters must be finite in {text!r}")
     if head == "uniform":
         return UniformSource(p1, p2)
     if head == "gauss":

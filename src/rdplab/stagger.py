@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import (ExperimentResult, RunningMoments, ks_statistic,
-                      plugin_entropy)
+from .metrics import (ExperimentResult, avg_conditional_entropy, ks_statistic,
+                      plugin_entropy, simulate_blocks)
 from .quadrature import adaptive_simpson
 from .rng import SampleStreams
-from .sources import DEGENERATE_MASS, SourceModel, TruncatedLaw
+from .sources import DEGENERATE_MASS, SourceModel, TruncatedLaw, draw_truncated
 
 # Codes carrying less probability than this are excluded from boundary
 # tables; decoding them is a hard error rather than an extrapolation.
@@ -217,15 +217,14 @@ def _decode_codes(table: BoundaryTable, j: np.ndarray,
     if np.any(fb - fa < DEGENERATE_MASS):
         bad = int(j[fb - fa < DEGENERATE_MASS][0])
         raise InactiveCodeError(f"code {bad} has a degenerate interval")
-    u = fa + rng.random(j.size) * (fb - fa)
-    u = np.minimum(u, np.nextafter(1.0, 0.0))
-    x = table.spec.source.quantile(u)
-    return np.clip(x, table.a[k], table.b[k])
+    return draw_truncated(table.spec.source, table.a[k], table.b[k], fa, fb,
+                          rng, j.size)
 
 
 def _entropy_bits(masses: np.ndarray) -> float:
     m = masses[masses > 0]
-    return float(-(m * np.log2(m)).sum())
+    # 0.0 - x, not -x: a single cell gives +0.0 rather than -0.0
+    return float(0.0 - (m * np.log2(m)).sum())
 
 
 @dataclass(frozen=True)
@@ -341,45 +340,30 @@ def simulate_pipeline(spec: StaggeredSpec, samples: int,
     randomness, encode, decode by conditional resampling.
 
     The reported rate is the average per-offset plug-in entropy (tailored
-    entropy codes); the pooled code entropy is kept as a diagnostic.
+    entropy codes) over the offsets drawn at least once; the pooled code
+    entropy is kept as a diagnostic.
     """
     table = build_boundaries(spec)
     n_off = spec.n_offsets
 
-    dist = RunningMoments()
-    j_parts, n_parts, recon_parts = [], [], []
-    for _, size, rng in streams.iter_blocks(samples):
+    def step(rng, size):
         x = spec.source.sample(rng, size)
         n = rng.integers(0, n_off, size)
-        i = encode(spec, x, n)
-        j = n_off * i + n
+        j = n_off * encode(spec, x, n) + n
         xhat = _decode_codes(table, j, rng)
-        dist.update((x - xhat) ** 2)
-        j_parts.append(j)
-        n_parts.append(n)
-        recon_parts.append(xhat)
+        return (x - xhat) ** 2, j - table.j_first, xhat
 
-    j_all = np.concatenate(j_parts)
-    n_all = np.concatenate(n_parts)
-    recon = np.concatenate(recon_parts)
-
-    per_offset_entropies = []
-    for n in range(n_off):
-        _, counts = np.unique(j_all[n_all == n], return_counts=True)
-        per_offset_entropies.append(plugin_entropy(counts))
-    _, pooled_counts = np.unique(j_all, return_counts=True)
-
-    ks = ks_statistic(recon, spec.source.cdf)
-    positions = (np.arange(samples) + 0.5) / samples
-    w1 = float(np.mean(np.abs(np.sort(recon)
-                              - spec.source.quantile(positions))))
+    dist, counts, recon = simulate_blocks(streams, samples, step,
+                                          table.codes.size)
+    # code j belongs to offset j mod N, so the counts split by offset
+    offset_of = np.mod(table.codes, n_off)
+    per_offset = (counts[offset_of == n] for n in range(n_off))
     return ExperimentResult(
-        rate_bits=float(np.mean(per_offset_entropies)),
+        rate_bits=avg_conditional_entropy(c for c in per_offset if c.any()),
         mse=dist.mean,
-        perception_ks=ks,
-        perception_w1=w1,
+        perception_ks=ks_statistic(recon, spec.source.cdf),
         n_samples=samples,
         seed=streams.seed,
         mc_radius_mse=dist.mc_radius(),
-        index_entropy_bits=plugin_entropy(pooled_counts),
+        index_entropy_bits=plugin_entropy(counts),
     )

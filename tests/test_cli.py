@@ -49,6 +49,12 @@ def test_scalar_exact_rates(capsys):
     assert stag[2] == "2.125"
     assert dith[2] == f"{math.log2(5):.9g}"
     assert float(dith[3]) == pytest.approx(0.25 ** 2 / 12, abs=1e-9)
+    # a single cell covers the support: zero entropy prints as 0, not -0
+    code, out, _ = run_cli(capsys, "scalar-exact", "--source", "uniform:0,1",
+                           "--delta", "2", "--origin", "0.5")
+    assert code == 0
+    stag = parse_csv(out)[0]
+    assert stag[1].endswith(";pooled_H=0") and stag[2] == "0"
 
 
 def test_json_output_matches_csv_values(capsys):
@@ -90,6 +96,33 @@ def test_seeded_rerun_is_byte_identical(capsys):
     _, out3, _ = run_cli(capsys, *args)
     _, out4, _ = run_cli(capsys, *args)
     assert out3 == out4
+    # one level: the index entropy is zero and prints as 0, not -0
+    code, out, _ = run_cli(capsys, "circle-simulate", "--L", "1", "--N", "3",
+                           "--samples", "2048", "--seed", "13")
+    assert code == 0 and parse_csv(out)[0][2] == "0"
+
+
+def test_undrawn_offset_still_reports_a_rate(capsys):
+    # 2 samples over 4 offsets: at least two offsets are never drawn
+    code, out, err = run_cli(capsys, "scalar-simulate", "--source",
+                             "uniform:0,1", "--delta", "0.25", "--offsets",
+                             "4", "--samples", "2")
+    assert code == 0, err
+    fields = parse_csv(out)[0]
+    assert 0.0 <= float(fields[2]) <= 1.0 and fields[7] == "2"
+
+
+@pytest.mark.parametrize("source", ["uniform:0,inf", "uniform:-inf,0",
+                                    "gauss:inf,1", "gauss:0,inf",
+                                    "gauss:1e400,1"])
+@pytest.mark.parametrize("command", [["scalar-exact"],
+                                     ["scalar-simulate", "--samples", "1024"]],
+                         ids=["scalar-exact", "scalar-simulate"])
+def test_non_finite_source_parameters_exit_one(capsys, command, source):
+    code, _, err = run_cli(capsys, *command, "--source", source,
+                           "--delta", "0.25")
+    assert code == 1
+    assert err.startswith("rdplab: error:") and "Traceback" not in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rdplab.metrics import (ExperimentResult, RunningMoments,
                             avg_conditional_entropy,
                             differential_entropy_quadrature, ks_statistic,
-                            ks_threshold, mse, plugin_entropy, wasserstein1)
+                            ks_threshold, mse, plugin_entropy)
 from rdplab.rng import SampleStreams
 
 
@@ -53,6 +53,7 @@ def test_running_moments_merge_matches_bulk():
 
 def test_plugin_entropy_values():
     assert plugin_entropy({0: 17}) == 0.0
+    assert math.copysign(1.0, plugin_entropy({0: 17})) == 1.0   # not -0.0
     assert plugin_entropy({0: 5, 1: 5}) == pytest.approx(1.0, abs=1e-15)
     assert plugin_entropy([1, 2, 2, 2, 1]) == pytest.approx(2.25, abs=1e-12)
 
@@ -94,29 +95,6 @@ def test_ks_detects_shift():
     assert stat == pytest.approx(0.1, abs=0.005)
 
 
-def test_wasserstein_values():
-    a = np.array([0.1, 0.5, 0.9])
-    assert wasserstein1(a, a.copy()) == 0.0
-    assert wasserstein1(a, a + 0.3) == pytest.approx(0.3, abs=1e-15)
-    rng = SampleStreams(31).block(0)
-    u1 = rng.random(1_000_000)
-    u2 = rng.random(1_000_000) * 2.0
-    assert wasserstein1(u1, u2) == pytest.approx(0.5, abs=0.005)
-
-
-def test_wasserstein_length_mismatch():
-    with pytest.raises(ValueError):
-        wasserstein1([1.0], [1.0, 2.0])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_wasserstein_triangle_inequality(seed):
-    rng = np.random.default_rng(seed)
-    a, b, c = rng.random(50), rng.random(50) * 2, rng.random(50) - 1
-    assert wasserstein1(a, c) <= wasserstein1(a, b) + wasserstein1(b, c) + 1e-12
-
-
 def test_differential_entropy_uniforms():
     h = differential_entropy_quadrature(
         lambda x: 1.0 / (2 * math.pi), (-math.pi, math.pi))
@@ -143,8 +121,8 @@ def test_differential_entropy_exponential_cosine_law():
 def test_experiment_result_validation():
     with pytest.raises(ValueError):
         ExperimentResult(rate_bits=1.0, mse=-0.1, perception_ks=0.0,
-                         perception_w1=0.0, n_samples=1, seed=0,
-                         mc_radius_mse=0.0, index_entropy_bits=1.0)
+                         n_samples=1, seed=0, mc_radius_mse=0.0,
+                         index_entropy_bits=1.0)
 
 
 def test_quadrature_depth_cap_is_hard_error():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rdplab.rng import SampleStreams
 from rdplab.sources import (CircleSource, GaussianSource, TruncatedLaw,
-                            UniformSource, parse_source, sample_truncated)
+                            UniformSource, parse_source)
 
 ALL_SOURCES = [UniformSource(0.0, 1.0), UniformSource(-2.0, 3.0),
                GaussianSource(0.0, 1.0), GaussianSource(1.5, 0.4),
@@ -106,7 +106,7 @@ def test_truncated_half_normal_mean():
 def test_truncated_matches_rejection_sampling():
     src = GaussianSource(0, 1)
     law = TruncatedLaw(src, -0.3, 1.1)
-    draws = sample_truncated(law, SampleStreams(5).block(0), 20_000)
+    draws = law.sample(SampleStreams(5).block(0), 20_000)
     rng = np.random.default_rng(99)
     accepted = []
     while len(accepted) < 20_000:
@@ -144,6 +144,7 @@ def test_parse_source():
     assert parse_source("gauss:0,1") == GaussianSource(0.0, 1.0)
     assert parse_source("circle") == CircleSource()
     assert parse_source("gauss:1.5,0.4").spec_string() == "gauss:1.5,0.4"
-    for bad in ("uniform", "uniform:1,0", "gauss:0,-1", "pareto:1,2", "gauss:a,b"):
+    for bad in ("uniform", "uniform:1,0", "gauss:0,-1", "pareto:1,2", "gauss:a,b",
+                "uniform:0,inf", "gauss:nan,1", "gauss:1e400,1"):
         with pytest.raises(ValueError):
             parse_source(bad)
