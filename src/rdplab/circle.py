@@ -229,8 +229,8 @@ def verify_two_cell_optimality(r: float, lam: float,
     """
     if not 0.0 < r <= 1.0:
         raise ValueError(f"r must lie in (0, 1], got {r}")
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     if grid_size < 3:
         raise ValueError("grid_size must be >= 3")
     step = r / (grid_size + 1)

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -160,8 +161,8 @@ def _run(args) -> list[dict]:
     if cmd == "rdp-frontier":
         if args.points < 1:
             raise ValueError("need at least one grid point")
-        if args.lambda_min <= 0 or args.lambda_max < args.lambda_min:
-            raise ValueError("need 0 < lambda-min <= lambda-max")
+        if not (0 < args.lambda_min <= args.lambda_max < math.inf):
+            raise ValueError("need 0 < lambda-min <= lambda-max, both finite")
         if args.points == 1:
             grid = [args.lambda_min]
         else:

@@ -40,6 +40,11 @@ ACTIVE_EPS = 1e-12
 # the default indexing mode signals an implementation fault.
 MASS_TOL = 1e-9
 
+# Limit on the candidate codes a boundary table scans: a table build at
+# the limit peaks near 100 MB.  Codes must also be exact as doubles.
+MAX_TABLE_CODES = 2 ** 20
+MAX_CODE_INDEX = 2.0 ** 53
+
 
 class InactiveCodeError(ValueError):
     """Decoding was requested for a code with (near) zero probability."""
@@ -62,8 +67,11 @@ class StaggeredSpec:
     literal_paper_indexing: bool = False
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not (self.delta > 0 and math.isfinite(self.delta)):
+            raise ValueError(f"delta must be positive and finite, "
+                             f"got {self.delta}")
+        if not math.isfinite(self.origin):
+            raise ValueError(f"origin must be finite, got {self.origin}")
         if self.n_offsets < 1:
             raise ValueError(f"n_offsets must be >= 1, got {self.n_offsets}")
 
@@ -140,8 +148,17 @@ def build_boundaries(spec: StaggeredSpec) -> BoundaryTable:
     source, n_off = spec.source, spec.n_offsets
     lo, hi = source.effective_support()
 
-    j_min = int(math.ceil(n_off * ((lo - spec.origin) / spec.delta - 0.5))) - 1
-    j_max = int(math.floor(n_off * ((hi - spec.origin) / spec.delta + 0.5))) + 1
+    t_lo = n_off * ((lo - spec.origin) / spec.delta - 0.5)
+    t_hi = n_off * ((hi - spec.origin) / spec.delta + 0.5)
+    # an overflowed t_lo or t_hi is infinite and fails the first test
+    if not (max(abs(t_lo), abs(t_hi)) < MAX_CODE_INDEX
+            and t_hi - t_lo < MAX_TABLE_CODES):
+        raise ValueError(f"delta {spec.delta:g}, origin {spec.origin:g} and "
+                         f"{n_off} offsets give codes {t_lo:.3g} .. "
+                         f"{t_hi:.3g}; a table takes at most "
+                         f"{MAX_TABLE_CODES} codes, within +/-2^53")
+    j_min = int(math.ceil(t_lo)) - 1
+    j_max = int(math.floor(t_hi)) + 1
     js = np.arange(j_min, j_max + 1)
     prob = (source.cdf(cell_left(spec, js + n_off))
             - source.cdf(cell_left(spec, js))) / n_off
@@ -311,14 +328,11 @@ def exact_code_distribution(spec: StaggeredSpec) -> CodeDistribution:
         per_mass.append(prob[sel] * n_off)
         per_ent.append(_entropy_bits(per_mass[-1]))
 
-    mse_total = 0.0
-    for k in range(codes.size):
-        if prob[k] <= ACTIVE_EPS or table.b[k] <= table.a[k]:
-            continue
-        m_cell, v_cell = spec.source.mean_var_on(table.cell_lo[k],
-                                                 table.cell_hi[k])
-        m_rec, v_rec = spec.source.mean_var_on(table.a[k], table.b[k])
-        mse_total += prob[k] * (v_cell + v_rec + (m_cell - m_rec) ** 2)
+    live = (prob > ACTIVE_EPS) & (table.b > table.a)
+    m_cell, v_cell = spec.source.mean_var_on(table.cell_lo[live],
+                                             table.cell_hi[live])
+    m_rec, v_rec = spec.source.mean_var_on(table.a[live], table.b[live])
+    mse = np.sum(prob[live] * (v_cell + v_rec + (m_cell - m_rec) ** 2))
 
     return CodeDistribution(
         spec=spec,
@@ -329,7 +343,7 @@ def exact_code_distribution(spec: StaggeredSpec) -> CodeDistribution:
         per_offset_entropy_bits=per_ent,
         avg_conditional_entropy_bits=float(np.mean(per_ent)),
         pooled_entropy_bits=_entropy_bits(prob),
-        mse_exact=mse_total,
+        mse_exact=float(mse),
         dithered=dithered_reference(spec.source, spec.delta),
     )
 

@@ -173,5 +173,8 @@ def test_two_cell_input_validation():
         verify_two_cell_optimality(1.5, 10.0, 100)
     with pytest.raises(ValueError):
         verify_two_cell_optimality(0.5, -1.0, 100)
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            verify_two_cell_optimality(0.5, lam, 100)
     with pytest.raises(ValueError):
         verify_two_cell_optimality(0.5, 10.0, 2)

@@ -112,16 +112,42 @@ def test_undrawn_offset_still_reports_a_rate(capsys):
     assert 0.0 <= float(fields[2]) <= 1.0 and fields[7] == "2"
 
 
-@pytest.mark.parametrize("source", ["uniform:0,inf", "uniform:-inf,0",
-                                    "gauss:inf,1", "gauss:0,inf",
-                                    "gauss:1e400,1"])
+NON_FINITE_INPUTS = [
+    *(pytest.param(["--source", s, "--delta", "0.25"], id=s)
+      for s in ("uniform:0,inf", "uniform:-inf,0", "gauss:inf,1",
+                "gauss:0,inf", "gauss:1e400,1")),
+    *(pytest.param(["--source", "uniform:0,1", "--delta", "0.25",
+                    "--origin", v], id=f"origin={v}") for v in ("inf", "nan")),
+    pytest.param(["--source", "uniform:0,1", "--delta", "inf"], id="delta=inf"),
+]
+
+
+@pytest.mark.parametrize("source", NON_FINITE_INPUTS)
 @pytest.mark.parametrize("command", [["scalar-exact"],
                                      ["scalar-simulate", "--samples", "1024"]],
                          ids=["scalar-exact", "scalar-simulate"])
 def test_non_finite_source_parameters_exit_one(capsys, command, source):
-    code, _, err = run_cli(capsys, *command, "--source", source,
-                           "--delta", "0.25")
+    code, _, err = run_cli(capsys, *command, *source)
     assert code == 1
+    assert err.startswith("rdplab: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source,delta", [("uniform:0,1", "1e-9"),
+                                          ("uniform:-1e308,1e308", "1")])
+def test_oversized_grid_exits_one(capsys, source, delta):
+    # rejected before any array is sized from the grid
+    code, _, err = run_cli(capsys, "scalar-exact", "--source", source,
+                           "--delta", delta)
+    assert code == 1
+    assert err.startswith("rdplab: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bounds", [["--lambda-max", "inf"],
+                                    ["--lambda-max", "nan"],
+                                    ["--lambda-min", "nan"]])
+def test_rdp_frontier_rejects_non_finite_lambda(capsys, bounds):
+    code, out, err = run_cli(capsys, "rdp-frontier", *bounds)
+    assert code == 1 and out == ""
     assert err.startswith("rdplab: error:") and "Traceback" not in err
 
 

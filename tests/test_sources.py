@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,13 +44,46 @@ def test_quantile_values():
     assert GaussianSource(0, 1).quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
 
 
-def test_quantile_matches_scipy_inverse():
-    # In the tails the achievable absolute accuracy in z degrades like
-    # eps/pdf(z) (u is only resolvable to machine eps); compare on the bulk
-    # where 1e-11 is meaningful, the round-trip test covers the tails.
-    u = np.linspace(1e-4, 1 - 1e-4, 501)
-    got = GaussianSource(0.0, 1.0).quantile(u)
-    assert np.max(np.abs(got - scipy.special.ndtri(u))) < 1e-11
+def mpmath_gauss_quantile(mpmath, u):
+    """Independent oracle: bisection for Phi(z) = u in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        target = mpmath.mpf(float(u))
+        lo, hi = mpmath.mpf(-40), mpmath.mpf(40)
+        for _ in range(80):               # bracket width 80 / 2^80 < 1e-22
+            mid = (lo + hi) / 2
+            if mpmath.ncdf(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+QUANTILE_RANGES = {
+    # (0, 0.5]: down to the smallest subnormal
+    "lower": np.concatenate([10.0 ** -np.linspace(0.31, 323, 40),
+                             np.linspace(1e-3, 0.5, 20), [5e-324]]),
+    # (0.5, 1 - 1e-10): Phi(z) is 1 - small here
+    "upper": 0.5 + (0.5 - 1e-10) * np.linspace(1e-6, 1 - 1e-6, 40),
+    # (1 - 1e-10, 1): the last representable doubles below 1
+    "top": np.concatenate([1.0 - 10.0 ** -np.linspace(10.01, 15.9, 30),
+                           [np.nextafter(1.0, 0.0), 1.0 - 2.0 ** -52]]),
+}
+
+
+def test_quantile_matches_mpmath_root():
+    mpmath = pytest.importorskip("mpmath")
+    src = GaussianSource(0.0, 1.0)
+    for part, u in QUANTILE_RANGES.items():
+        exact = np.array([mpmath_gauss_quantile(mpmath, v) for v in u])
+        err = np.max(np.abs(src.quantile(u) - exact))
+        assert err <= 1e-14, f"{part}: {err:.3e}"
+
+
+def test_quantile_symmetry():
+    # for u in [0.5, 1), 1 - u is exact, so q(1 - u) = -q(u) should hold
+    u = np.concatenate([QUANTILE_RANGES["upper"], QUANTILE_RANGES["top"]])
+    src = GaussianSource(0.0, 1.0)
+    assert np.max(np.abs(src.quantile(1.0 - u) + src.quantile(u))) <= 1e-14
 
 
 def test_quantile_rejects_out_of_range():
@@ -130,6 +162,29 @@ def test_truncated_moments_against_scipy():
     tn = scipy.stats.truncnorm((-1.0 - 0.5) / 2.0, (2.0 - 0.5) / 2.0, 0.5, 2.0)
     assert m == pytest.approx(tn.mean(), abs=1e-10)
     assert v == pytest.approx(tn.var(), abs=1e-10)
+
+    # arrays of intervals, elementwise; the last two lie far in the tails,
+    # 8 to 9 sigma from the mean on either side
+    a = np.array([-20.0, -3.0, 0.5, 1.9, 4.0, 16.5, -17.5])
+    b = np.array([-2.0, 0.0, 0.6, 7.0, 20.0, 18.5, -15.5])
+    m, v = src.mean_var_on(a, b)
+    tn = scipy.stats.truncnorm((a - 0.5) / 2.0, (b - 0.5) / 2.0, 0.5, 2.0)
+    assert m.shape == v.shape == a.shape
+    np.testing.assert_allclose(m, tn.mean(), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(v, tn.var(), rtol=0, atol=1e-10)
+    with pytest.raises(ValueError, match="no mass"):
+        src.mean_var_on(np.array([0.0, 1e3]), np.array([1.0, 1e3 + 1]))
+
+    # uniform laws: intervals crossing the support edges are clipped to it
+    for law, lo, hi in ((UniformSource(-2.0, 3.0), -2.0, 3.0),
+                        (CircleSource(), -math.pi, math.pi)):
+        a = np.array([lo - 1.0, lo + 0.5, hi - 0.25, lo - 5.0])
+        b = np.array([lo + 0.5, hi - 1.0, hi + 2.0, hi + 5.0])
+        m, v = law.mean_var_on(a, b)
+        a_in, b_in = np.maximum(a, lo), np.minimum(b, hi)
+        ref = [scipy.stats.uniform(x, y - x) for x, y in zip(a_in, b_in)]
+        np.testing.assert_allclose(m, [r.mean() for r in ref], rtol=1e-14)
+        np.testing.assert_allclose(v, [r.var() for r in ref], rtol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)

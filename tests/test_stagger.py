@@ -340,3 +340,22 @@ def test_spec_validation():
         StaggeredSpec(UNIT, 0.0, 1)
     with pytest.raises(ValueError):
         StaggeredSpec(UNIT, 0.25, 0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            StaggeredSpec(UNIT, bad, 1)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            StaggeredSpec(UNIT, 0.25, 1, origin=bad)
+
+
+def test_grid_size_cap():
+    # the exact-sweep's finest table (about 1.6e5 candidate codes) builds;
+    # literal indexing skips the mass-identity check, which is not tested here
+    table = build_boundaries(StaggeredSpec(GAUSS, 1e-3, 8,
+                                           literal_paper_indexing=True))
+    assert table.codes.size > 90_000
+    for spec in (StaggeredSpec(UNIT, 1e-9, 1),
+                 StaggeredSpec(UniformSource(-1e308, 1e308), 1.0, 1),
+                 StaggeredSpec(UNIT, 0.25, 1, origin=1e300)):
+        with pytest.raises(ValueError, match="a table takes at most"):
+            build_boundaries(spec)
