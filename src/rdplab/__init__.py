@@ -13,8 +13,8 @@ from .metrics import (ExperimentResult, avg_conditional_entropy,
                       ks_threshold, mse, plugin_entropy)
 from .rng import BLOCK, SampleStreams
 from .simlab import ExperimentConfig, parse_config_file, run_experiment, sweep
-from .sources import (CircleSource, GaussianSource, TruncatedLaw,
-                      UniformSource, parse_source)
+from .sources import (CircleSource, GaussianSource, UniformSource,
+                      parse_source)
 from .stagger import (BoundaryTable, CodeDistribution, StaggeredSpec,
                       build_boundaries, cell_left, decode, dithered_reference,
                       encode, exact_code_distribution, simulate_pipeline)

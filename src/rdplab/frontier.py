@@ -33,6 +33,9 @@ LN_TWO_PI = math.log(math.tau)
 QUAD_TOL = 1e-10
 SCALE_SWITCH = 50.0
 LAMBDA_MAX = 1e4
+# rate_at_distortion stops bisecting when its lam bracket is this narrow
+# in relative terms.
+RATE_REL_TOL = 1e-12
 
 
 class VonMisesLikeLaw:
@@ -120,7 +123,7 @@ def rdp_curve(lam_grid) -> list[FrontierPoint]:
     return points
 
 
-def rate_at_distortion(distortion: float, tol: float = 1e-12) -> float:
+def rate_at_distortion(distortion: float) -> float:
     """Rate of the perfect-perception frontier at a given distortion.
 
     Solved by bisection on log(lam); valid for distortions reachable with
@@ -137,7 +140,7 @@ def rate_at_distortion(distortion: float, tol: float = 1e-12) -> float:
             lo = mid
         else:
             hi = mid
-        if hi / lo - 1.0 < tol:
+        if hi / lo - 1.0 < RATE_REL_TOL:
             break
     return rdp_point(math.sqrt(lo * hi)).rate_bits
 

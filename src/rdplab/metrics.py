@@ -19,6 +19,9 @@ from .rng import BLOCK
 # Asymptotic Kolmogorov-Smirnov critical coefficient at alpha = 0.01.
 KS_COEFF_01 = 1.628
 
+# Absolute tolerance of the differential-entropy quadrature.
+ENTROPY_QUAD_TOL = 1e-9
+
 
 def ks_threshold(n_samples: int) -> float:
     """alpha = 0.01 acceptance threshold for the one-sample KS statistic."""
@@ -160,7 +163,7 @@ def ks_statistic(samples, cdf) -> float:
     return float(max(d_plus, d_minus))
 
 
-def differential_entropy_quadrature(pdf, support, tol: float = 1e-9) -> float:
+def differential_entropy_quadrature(pdf, support) -> float:
     """-integral p ln p over the support, in nats, by adaptive Simpson."""
     lo, hi = support
 
@@ -170,7 +173,7 @@ def differential_entropy_quadrature(pdf, support, tol: float = 1e-9) -> float:
             return 0.0
         return -p * math.log(p)
 
-    return adaptive_simpson(integrand, lo, hi, tol=tol)
+    return adaptive_simpson(integrand, lo, hi, tol=ENTROPY_QUAD_TOL)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .sources import parse_source
 SCHEMES = ("circle-staggered", "circle-dithered", "scalar-staggered", "frontier")
 
 CONFIG_KEYS = ("scheme", "source", "delta", "levels", "offsets", "lambda",
-               "samples", "seed", "chunk_size", "out", "origin",
+               "samples", "seed", "chunk_size", "origin",
                "literal_paper_indexing")
 
 
@@ -42,7 +42,6 @@ class ExperimentConfig:
     chunk_size: int = 65_536
     origin: float = 0.0
     literal_paper_indexing: bool = False
-    out: str | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -172,6 +171,4 @@ def parse_config_file(path: str) -> ExperimentConfig:
     if "literal_paper_indexing" in raw:
         kwargs["literal_paper_indexing"] = raw["literal_paper_indexing"].lower() \
             in ("1", "true", "yes")
-    if "out" in raw:
-        kwargs["out"] = raw["out"]
     return ExperimentConfig(**kwargs)

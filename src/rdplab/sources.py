@@ -197,39 +197,6 @@ class CircleSource:
 SourceModel = UniformSource | GaussianSource | CircleSource
 
 
-@dataclass(frozen=True)
-class TruncatedLaw:
-    """Parent law conditioned on [a, b] (density renormalized there)."""
-
-    parent: SourceModel
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not self.b > self.a:
-            raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
-
-    @property
-    def mass(self) -> float:
-        return self.parent.cdf(self.b) - self.parent.cdf(self.a)
-
-    def pdf(self, x):
-        arr, scalar = _as_array(x)
-        inside = (arr >= self.a) & (arr <= self.b)
-        dens = np.where(inside, self.parent.pdf(arr) / self.mass, 0.0)
-        return _ret(dens, scalar)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        """Inverse-CDF draw: quantile(F(a) + U * (F(b) - F(a)))."""
-        fa = self.parent.cdf(self.a)
-        fb = self.parent.cdf(self.b)
-        if fb - fa < DEGENERATE_MASS:
-            raise ValueError(
-                f"degenerate truncation [{self.a}, {self.b}]: parent mass "
-                f"{fb - fa:.3e} (ill-formed boundary table?)")
-        return draw_truncated(self.parent, self.a, self.b, fa, fb, rng, size)
-
-
 def draw_truncated(parent: SourceModel, a, b, fa, fb,
                    rng: np.random.Generator, size=None):
     """Draw from ``parent`` conditioned on [a, b], given fa = F(a), fb = F(b).

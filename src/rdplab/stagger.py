@@ -17,6 +17,12 @@ F at the cell edges j .. j+N-1.  The construction with the index argument
 shifted down by N (arguments j-N .. j-1) is retained behind
 ``literal_paper_indexing`` for comparison; it breaks the mass identity and
 centers decoder intervals one full step away from their cells.
+
+A table evaluates the source CDF once on its cell edges (reaching N codes
+past the candidate range on either side) and once on its boundaries; code
+masses, the N-term averages and the clipped cells all slice the one edge
+array.  Single codes and the simulators' code arrays decode through the
+same inverse-CDF draw.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .metrics import (ExperimentResult, avg_conditional_entropy, ks_statistic,
                       plugin_entropy, simulate_blocks)
 from .quadrature import adaptive_simpson
 from .rng import SampleStreams
-from .sources import DEGENERATE_MASS, SourceModel, TruncatedLaw, draw_truncated
+from .sources import DEGENERATE_MASS, SourceModel, draw_truncated
 
 # Codes carrying less probability than this are excluded from boundary
 # tables; decoding them is a hard error rather than an extrapolation.
@@ -44,6 +50,9 @@ MASS_TOL = 1e-9
 # the limit peaks near 100 MB.  Codes must also be exact as doubles.
 MAX_TABLE_CODES = 2 ** 20
 MAX_CODE_INDEX = 2.0 ** 53
+
+# Absolute tolerance of the adaptive Simpson rule per dithered cell mass.
+DITHER_QUAD_TOL = 1e-12
 
 
 class InactiveCodeError(ValueError):
@@ -120,19 +129,6 @@ class BoundaryTable:
     def j_last(self) -> int:
         return int(self.codes[-1])
 
-    def is_active(self, j: int) -> bool:
-        return self.j_first <= j <= self.j_last \
-            and self.prob[j - self.j_first] > ACTIVE_EPS
-
-    def row(self, j: int) -> int:
-        if not self.is_active(j):
-            raise InactiveCodeError(f"code {j} is not active")
-        return j - self.j_first
-
-    def interval(self, j: int) -> tuple[float, float]:
-        k = self.row(j)
-        return float(self.a[k]), float(self.b[k])
-
     def mass_identity_error(self) -> float:
         """max_j |F(b(j)) - F(a(j)) - P(j)| over active codes."""
         return float(np.max(np.abs((self.fb - self.fa) - self.prob)))
@@ -143,7 +139,8 @@ def build_boundaries(spec: StaggeredSpec) -> BoundaryTable:
 
     Boundary values at the support edges are clipped to the support, so
     the first and last intervals absorb the tail mass and the intervals
-    partition the support exactly.
+    partition the support exactly.  The source CDF is evaluated twice:
+    once on every cell edge the table reads and once on the boundaries.
     """
     source, n_off = spec.source, spec.n_offsets
     lo, hi = source.effective_support()
@@ -159,25 +156,27 @@ def build_boundaries(spec: StaggeredSpec) -> BoundaryTable:
                          f"{MAX_TABLE_CODES} codes, within +/-2^53")
     j_min = int(math.ceil(t_lo)) - 1
     j_max = int(math.floor(t_hi)) + 1
-    js = np.arange(j_min, j_max + 1)
-    prob = (source.cdf(cell_left(spec, js + n_off))
-            - source.cdf(cell_left(spec, js))) / n_off
+    # edges[e] is the left end of the cell with code j_min - N + e, so the
+    # cell of code j_min + m spans edges[m + N] .. edges[m + 2N]
+    edges = cell_left(spec, np.arange(j_min - n_off, j_max + n_off + 1))
+    f_edges = source.cdf(edges)
+    prob = (f_edges[2 * n_off:] - f_edges[n_off:-n_off]) / n_off
     active = np.nonzero(prob > ACTIVE_EPS)[0]
     if active.size == 0:
         raise ValueError("no active codes: source mass does not meet the grid")
-    first, last = active[0], active[-1]
-    codes = js[first:last + 1]
+    first, last = int(active[0]), int(active[-1])
+    codes = np.arange(j_min + first, j_min + last + 1)
     prob = prob[first:last + 1]
 
     # a(j) at the quantile of the average of F over N consecutive cell
     # edges; the literal mode uses edges j-N .. j-1 instead of j .. j+N-1.
     shift = 0 if spec.literal_paper_indexing else n_off
-    edge_js = np.arange(codes[0], codes[-1] + 2)
-    u = np.zeros(edge_js.size)
+    u = np.zeros(codes.size + 1)
     for k in range(1, n_off + 1):
-        u += source.cdf(cell_left(spec, edge_js - k + shift))
+        e = first + n_off + shift - k
+        u += f_edges[e:e + u.size]
     u /= n_off
-    bounds = np.empty(edge_js.size)
+    bounds = np.empty(u.size)
     interior = (u > 0.0) & (u < 1.0)
     bounds[u <= 0.0] = lo
     bounds[u >= 1.0] = hi
@@ -188,18 +187,19 @@ def build_boundaries(spec: StaggeredSpec) -> BoundaryTable:
     # active-code cutoff, far inside MASS_TOL)
     bounds[0] = lo
     bounds[-1] = hi
+    f_bounds = source.cdf(bounds)
 
-    a, b = bounds[:-1], bounds[1:]
+    cells = np.clip(edges[first + n_off:last + 2 * n_off + 1], lo, hi)
     table = BoundaryTable(
         spec=spec,
         codes=codes,
-        a=a,
-        b=b,
+        a=bounds[:-1],
+        b=bounds[1:],
         prob=prob,
-        fa=np.asarray(source.cdf(a), dtype=float),
-        fb=np.asarray(source.cdf(b), dtype=float),
-        cell_lo=np.clip(cell_left(spec, codes), lo, hi),
-        cell_hi=np.clip(cell_left(spec, codes + n_off), lo, hi),
+        fa=f_bounds[:-1],
+        fb=f_bounds[1:],
+        cell_lo=cells[:codes.size],
+        cell_hi=cells[n_off:],
     )
     if not spec.literal_paper_indexing:
         err = table.mass_identity_error()
@@ -216,13 +216,13 @@ def decode(table: BoundaryTable, i: int, n: int, rng: np.random.Generator,
     spec = table.spec
     if not 0 <= n < spec.n_offsets:
         raise ValueError(f"offset index out of range [0, {spec.n_offsets})")
-    a, b = table.interval(spec.n_offsets * i + n)
-    return TruncatedLaw(spec.source, a, b).sample(rng, size)
+    j = np.full(() if size is None else size, spec.n_offsets * i + n)
+    return _decode_codes(table, j, rng)
 
 
 def _decode_codes(table: BoundaryTable, j: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
-    """Vectorized decoder used by the simulators; one uniform draw per code."""
+    """Decoder for an array of codes, one uniform draw per code."""
     if np.any(j < table.j_first) or np.any(j > table.j_last):
         bad = int(j[(j < table.j_first) | (j > table.j_last)][0])
         raise InactiveCodeError(f"code {bad} outside the active table")
@@ -235,7 +235,7 @@ def _decode_codes(table: BoundaryTable, j: np.ndarray,
         bad = int(j[fb - fa < DEGENERATE_MASS][0])
         raise InactiveCodeError(f"code {bad} has a degenerate interval")
     return draw_truncated(table.spec.source, table.a[k], table.b[k], fa, fb,
-                          rng, j.size)
+                          rng, j.shape)
 
 
 def _entropy_bits(masses: np.ndarray) -> float:
@@ -257,7 +257,6 @@ class DitheredReference:
     any source.
     """
 
-    cell_edges: np.ndarray
     masses: np.ndarray
     entropy_bits: float
     fixed_rate_bits: float
@@ -265,8 +264,7 @@ class DitheredReference:
     mse: float
 
 
-def dithered_reference(source: SourceModel, delta: float,
-                       tol: float = 1e-12) -> DitheredReference:
+def dithered_reference(source: SourceModel, delta: float) -> DitheredReference:
     """Exact cell masses of the index f(X + Z) under uniform dither Z."""
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -277,13 +275,12 @@ def dithered_reference(source: SourceModel, delta: float,
     def density(t):
         return (source.cdf(t + delta / 2.0) - source.cdf(t - delta / 2.0)) / delta
 
-    masses = np.array([adaptive_simpson(density, e0, e1, tol=tol)
+    masses = np.array([adaptive_simpson(density, e0, e1, tol=DITHER_QUAD_TOL)
                        for e0, e1 in zip(edges[:-1], edges[1:])])
     keep = masses > ACTIVE_EPS
     masses = masses[keep]
     n_cells = int(masses.size)
     return DitheredReference(
-        cell_edges=edges,
         masses=masses,
         entropy_bits=_entropy_bits(masses),
         fixed_rate_bits=math.log2(n_cells),
@@ -299,7 +296,6 @@ class CodeDistribution:
     spec: StaggeredSpec
     codes: np.ndarray
     pooled_masses: np.ndarray                 # P(j), weights 1/N per offset
-    per_offset_indices: list[np.ndarray]      # cell indices i of offset n
     per_offset_masses: list[np.ndarray]       # P(f_n(X) = i)
     per_offset_entropy_bits: list[float]
     avg_conditional_entropy_bits: float       # rate with one code per offset
@@ -321,12 +317,9 @@ def exact_code_distribution(spec: StaggeredSpec) -> CodeDistribution:
     n_off = spec.n_offsets
     codes, prob = table.codes, table.prob
 
-    per_idx, per_mass, per_ent = [], [], []
-    for n in range(n_off):
-        sel = (np.mod(codes, n_off) == n)
-        per_idx.append(((codes[sel] - n) // n_off).astype(np.int64))
-        per_mass.append(prob[sel] * n_off)
-        per_ent.append(_entropy_bits(per_mass[-1]))
+    offset_of = np.mod(codes, n_off)
+    per_mass = [prob[offset_of == n] * n_off for n in range(n_off)]
+    per_ent = [_entropy_bits(m) for m in per_mass]
 
     live = (prob > ACTIVE_EPS) & (table.b > table.a)
     m_cell, v_cell = spec.source.mean_var_on(table.cell_lo[live],
@@ -338,7 +331,6 @@ def exact_code_distribution(spec: StaggeredSpec) -> CodeDistribution:
         spec=spec,
         codes=codes,
         pooled_masses=prob,
-        per_offset_indices=per_idx,
         per_offset_masses=per_mass,
         per_offset_entropy_bits=per_ent,
         avg_conditional_entropy_bits=float(np.mean(per_ent)),

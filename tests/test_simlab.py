@@ -121,3 +121,8 @@ def test_parse_config_rejects_bad_input(tmp_path):
     nokey.write_text("levels = 2\n")
     with pytest.raises(ValueError, match="scheme"):
         parse_config_file(str(nokey))
+    # the output file is set with --out only
+    out = tmp_path / "out.cfg"
+    out.write_text("scheme = frontier\nout = x.csv\n")
+    with pytest.raises(ValueError, match="unknown key 'out'"):
+        parse_config_file(str(out))

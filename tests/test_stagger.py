@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from rdplab.metrics import ks_threshold
 from rdplab.rng import SampleStreams
-from rdplab.sources import GaussianSource, UniformSource
-from rdplab.stagger import (InactiveCodeError, StaggeredSpec, build_boundaries,
-                            cell_left, decode, dithered_reference, encode,
+from rdplab.sources import (DEGENERATE_MASS, CircleSource, GaussianSource,
+                            UniformSource)
+from rdplab.stagger import (ACTIVE_EPS, MASS_TOL, MAX_CODE_INDEX,
+                            MAX_TABLE_CODES, InactiveCodeError, StaggeredSpec,
+                            build_boundaries, cell_left, decode,
+                            dithered_reference, encode,
                             exact_code_distribution, simulate_pipeline)
 
 UNIT = UniformSource(0.0, 1.0)
@@ -45,8 +48,11 @@ def oracle_pipeline_mse(spec):
         cr = min(cell_left(spec, int(j)) + spec.delta, hi)
         a, b = table.a[k], table.b[k]
         if isinstance(src, GaussianSource):
-            tc = scipy.stats.truncnorm(cl, cr)
-            tr = scipy.stats.truncnorm(a, b)
+            mu, sigma = src.mu, src.sigma
+            tc = scipy.stats.truncnorm((cl - mu) / sigma, (cr - mu) / sigma,
+                                       loc=mu, scale=sigma)
+            tr = scipy.stats.truncnorm((a - mu) / sigma, (b - mu) / sigma,
+                                       loc=mu, scale=sigma)
             m_cell, v_cell = tc.mean(), tc.var()
             m_rec, v_rec = tr.mean(), tr.var()
         else:                       # flat density: uniform and circle kinds
@@ -184,6 +190,107 @@ def test_partition_property():
         assert np.all(table.b >= table.a)
 
 
+def reference_boundaries(spec):
+    """The table built in separate passes: the CDF evaluated afresh on the
+    edges of each mass, each term of the N-term average and each of a and
+    b.  Returns the fields build_boundaries must reproduce bit for bit."""
+    source, n_off = spec.source, spec.n_offsets
+    lo, hi = source.effective_support()
+    t_lo = n_off * ((lo - spec.origin) / spec.delta - 0.5)
+    t_hi = n_off * ((hi - spec.origin) / spec.delta + 0.5)
+    if not (max(abs(t_lo), abs(t_hi)) < MAX_CODE_INDEX
+            and t_hi - t_lo < MAX_TABLE_CODES):
+        raise ValueError(f"delta {spec.delta:g}, origin {spec.origin:g} and "
+                         f"{n_off} offsets give codes {t_lo:.3g} .. "
+                         f"{t_hi:.3g}; a table takes at most "
+                         f"{MAX_TABLE_CODES} codes, within +/-2^53")
+    js = np.arange(int(math.ceil(t_lo)) - 1, int(math.floor(t_hi)) + 2)
+    prob = (source.cdf(cell_left(spec, js + n_off))
+            - source.cdf(cell_left(spec, js))) / n_off
+    active = np.nonzero(prob > ACTIVE_EPS)[0]
+    if active.size == 0:
+        raise ValueError("no active codes: source mass does not meet the grid")
+    codes = js[active[0]:active[-1] + 1]
+    prob = prob[active[0]:active[-1] + 1]
+    shift = 0 if spec.literal_paper_indexing else n_off
+    edge_js = np.arange(codes[0], codes[-1] + 2)
+    u = np.zeros(edge_js.size)
+    for k in range(1, n_off + 1):
+        u += source.cdf(cell_left(spec, edge_js - k + shift))
+    u /= n_off
+    bounds = np.empty(edge_js.size)
+    interior = (u > 0.0) & (u < 1.0)
+    bounds[u <= 0.0] = lo
+    bounds[u >= 1.0] = hi
+    if np.any(interior):
+        bounds[interior] = np.clip(source.quantile(u[interior]), lo, hi)
+    bounds[0], bounds[-1] = lo, hi
+    a, b = bounds[:-1], bounds[1:]
+    fa, fb = source.cdf(a), source.cdf(b)
+    if not spec.literal_paper_indexing:
+        err = float(np.max(np.abs((fb - fa) - prob)))
+        if err > MASS_TOL:
+            raise RuntimeError(
+                f"mass identity violated by {err:.3e} (indexing fault?)")
+    return dict(codes=codes, a=a, b=b, prob=prob, fa=fa, fb=fb,
+                cell_lo=np.clip(cell_left(spec, codes), lo, hi),
+                cell_hi=np.clip(cell_left(spec, codes + n_off), lo, hi))
+
+
+def assert_matches_reference(spec):
+    try:
+        want = reference_boundaries(spec)
+    except (RuntimeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            build_boundaries(spec)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    table = build_boundaries(spec)
+    for name, value in want.items():
+        got = getattr(table, name)
+        assert got.dtype == value.dtype and got.shape == value.shape, name
+        assert got.tobytes() == value.tobytes(), (name, spec)
+    return None
+
+
+@pytest.mark.parametrize("literal", [False, True], ids=["default", "literal"])
+@pytest.mark.parametrize("source", [UNIT, GaussianSource(2.0, 3.0),
+                                    CircleSource()],
+                         ids=["uniform", "gauss", "circle"])
+def test_one_pass_table_matches_separate_passes(source, literal):
+    for n_off in (1, 2, 3, 8):
+        for delta in (0.07, 0.3, 1.0, 5.0):
+            for origin in (0.0, 0.1, -0.37):
+                assert_matches_reference(StaggeredSpec(
+                    source, delta, n_off, origin, literal))
+
+
+def test_one_pass_table_keeps_its_faults():
+    # both routes raise the same false mass-identity fault on the finest
+    # exact-sweep grid, and the same size-cap error
+    msg = assert_matches_reference(StaggeredSpec(GAUSS, 1e-3, 8))
+    assert msg == "mass identity violated by 1.309e-09 (indexing fault?)"
+    assert assert_matches_reference(StaggeredSpec(GAUSS, 0.01, 8)) is None
+    msg = assert_matches_reference(StaggeredSpec(UNIT, 1e-9, 1))
+    assert "a table takes at most" in msg
+
+
+def test_table_reads_the_cdf_twice(monkeypatch):
+    calls = []
+    cdf = GaussianSource.cdf
+
+    def counted(self, x):
+        calls.append(np.size(x))
+        return cdf(self, x)
+
+    monkeypatch.setattr(GaussianSource, "cdf", counted)
+    spec = StaggeredSpec(GaussianSource(2.0, 3.0), 0.3, 4, origin=0.1)
+    table = build_boundaries(spec)
+    # the cell edges j_min - N .. j_max + N, then the A + 1 boundaries
+    assert len(calls) == 2
+    assert calls[1] == table.codes.size + 1
+
+
 def test_literal_indexing_is_a_shift_and_breaks_mass_identity():
     spec = aligned_spec(2)
     default = build_boundaries(spec)
@@ -209,7 +316,7 @@ def test_decode_stays_in_interval_and_rejects_inactive():
     spec = StaggeredSpec(GAUSS, 0.5, 2)
     table = build_boundaries(spec)
     rng = SampleStreams(1).block(0)
-    a, b = table.interval(0)
+    a, b = table.a[-table.j_first], table.b[-table.j_first]
     draws = decode(table, 0, 0, rng, 1000)
     assert np.all((draws >= a) & (draws <= b))
     with pytest.raises(InactiveCodeError):
@@ -219,12 +326,34 @@ def test_decode_stays_in_interval_and_rejects_inactive():
 
 
 def test_literal_mode_edge_code_is_degenerate():
+    # the first code is active but its interval holds no source mass; the
+    # decoder refuses it rather than drawing from an empty truncation
     table = build_boundaries(aligned_spec(2, literal=True))
+    assert table.prob[0] > ACTIVE_EPS
+    assert table.fb[0] - table.fa[0] < DEGENERATE_MASS
     rng = SampleStreams(2).block(0)
     n = table.j_first % 2
     i = (table.j_first - n) // 2
-    with pytest.raises((InactiveCodeError, ValueError)):
+    with pytest.raises(InactiveCodeError, match="degenerate"):
         decode(table, i, n, rng)
+
+
+def test_decode_matches_code_array_draws():
+    # one decoder: a single code draws what the simulators' array path
+    # draws for the same code and stream, in any output shape
+    table = build_boundaries(StaggeredSpec(GaussianSource(2.0, 3.0), 0.3, 3,
+                                           origin=0.1))
+    i, n = 4, 2
+    j = 3 * i + n
+    k = j - table.j_first
+    src, a, b = table.spec.source, table.a[k], table.b[k]
+    fa, fb = src.cdf(a), src.cdf(b)
+    for size in (None, 7, (2, 3)):
+        got = decode(table, i, n, SampleStreams(8).block(0), size)
+        u = SampleStreams(8).block(0).random(size)
+        want = np.clip(src.quantile(fa + u * (fb - fa)), a, b)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
 
 
 # -- exact code statistics ---------------------------------------------------
@@ -255,7 +384,8 @@ def test_exact_dithered_reference_uniform():
 
 def test_exact_mse_matches_independent_oracle():
     for spec in (aligned_spec(1), aligned_spec(2), aligned_spec(4),
-                 StaggeredSpec(GAUSS, 0.5, 2), StaggeredSpec(GAUSS, 0.25, 4)):
+                 StaggeredSpec(GAUSS, 0.5, 2), StaggeredSpec(GAUSS, 0.25, 4),
+                 StaggeredSpec(GaussianSource(2.0, 3.0), 0.3, 3, origin=0.1)):
         got = exact_code_distribution(spec).mse_exact
         assert got == pytest.approx(oracle_pipeline_mse(spec), rel=1e-9)
 
@@ -326,8 +456,6 @@ def test_pipeline_deterministic():
 
 
 def test_pipeline_on_circle_source():
-    from rdplab.sources import CircleSource
-
     spec = StaggeredSpec(CircleSource(), math.pi / 2, 2,
                          origin=-math.pi + math.pi / 4)
     res = simulate_pipeline(spec, 100_000, SampleStreams(44))
