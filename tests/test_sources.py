@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from rdplab.rng import SampleStreams
 from rdplab.sources import (CircleSource, GaussianSource, UniformSource,
                             draw_truncated, parse_source)
+from rdplab.stagger import StaggeredSpec, build_boundaries, decode
 
 ALL_SOURCES = [UniformSource(0.0, 1.0), UniformSource(-2.0, 3.0),
                GaussianSource(0.0, 1.0), GaussianSource(1.5, 0.4),
@@ -147,6 +149,25 @@ def test_truncated_matches_rejection_sampling():
         accepted.extend(cand[(cand >= -0.3) & (cand <= 1.1)].tolist())
     stat = scipy.stats.ks_2samp(draws, np.asarray(accepted[:20_000]))
     assert stat.pvalue > 0.01
+
+
+def test_truncated_degenerate_interval_rejected():
+    # the decoder refuses a truncation interval that holds (almost) no
+    # source mass instead of drawing from it
+    rng = SampleStreams(0).block(0)
+    for src, a, b in [(GaussianSource(0, 1), 9.0, 9.5),   # mass ~ 1e-19
+                      (UniformSource(0, 1), 0.5, 0.5)]:
+        table = build_boundaries(StaggeredSpec(src, 0.25, 1))
+        k = table.codes.size // 2
+        cols = {}
+        for name, v in [("a", a), ("b", b),
+                        ("fa", src.cdf(a)), ("fb", src.cdf(b))]:
+            col = getattr(table, name).copy()
+            col[k] = v
+            cols[name] = col
+        table = dataclasses.replace(table, **cols)
+        with pytest.raises(ValueError, match="degenerate"):
+            decode(table, int(table.codes[k]), 0, rng, 10)
 
 
 def test_truncated_moments_against_scipy():
