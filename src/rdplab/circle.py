@@ -10,14 +10,16 @@ Three pieces live here:
 * the closed-form rate-distortion pair of N staggered L-level quantizers,
   (log2 L, 2 - 2*sinc(pi/(L*N))*sinc(pi/L)), together with Monte Carlo
   simulators for the staggered and dithered schemes;
-* the one-shot frontier {(log2 L, 2 - 2*sinc(pi/L))} and its lower convex
-  hull (time-sharing segments);
+* the one-shot frontier {(log2 L, 2 - 2*sinc(pi/L))}, whose extreme
+  points are all vertices of its lower convex hull (time-sharing
+  segments join consecutive points);
 * a numerical check that the optimal split of two adjacent cells is the
   midpoint in the non-degenerate regime.
 
-The deterministic-encoder baseline (1 bit, decoder noise over half the
-circle) is exactly the staggered scheme with L=2, N=1 and is not a
-separate code path.
+Both simulators run one staggered step; the dithered coder is its
+continuous-offset case (an offset uniform over one cell, no private
+noise).  The deterministic-encoder baseline (1 bit, decoder noise over
+half the circle) is the staggered scheme with L=2, N=1.
 """
 
 from __future__ import annotations
@@ -41,28 +43,6 @@ def wrap_angle(theta):
 def _sinc(x: float) -> float:
     """sin(x)/x with the removable singularity filled in."""
     return 1.0 if x == 0.0 else math.sin(x) / x
-
-
-@dataclass(frozen=True)
-class CircleScheme:
-    """Description of a unit-circle coder.
-
-    ``levels`` is the number of quantizer cells L; ``offsets`` is the
-    number N of staggered quantizers, spaced 2*pi/(L*N) apart in angle
-    (ignored for the dithered variant).  The staggered decoder adds
-    private noise uniform over an arc of length 2*pi/(L*N) centered at
-    the cell center.
-    """
-
-    variant: str
-    levels: int
-    offsets: int = 1
-
-    def __post_init__(self):
-        if self.variant not in ("staggered", "dithered"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.levels < 1 or self.offsets < 1:
-            raise ValueError("levels and offsets must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -98,28 +78,7 @@ def one_shot_frontier(l_max: int) -> list[FrontierPoint]:
             for levels in range(1, l_max + 1)]
 
 
-def lower_convex_hull(points: list[FrontierPoint]) -> list[FrontierPoint]:
-    """Vertices of the lower convex hull of distortion vs rate.
-
-    Input must be sorted by rate.  Time-sharing between consecutive hull
-    vertices realizes every point of the piecewise-linear frontier.
-    """
-    hull: list[FrontierPoint] = []
-    for p in points:
-        while len(hull) >= 2:
-            p0, p1 = hull[-2], hull[-1]
-            # p1 is dominated if it lies on or above chord p0 -> p
-            cross = ((p1.rate_bits - p0.rate_bits) * (p.distortion - p0.distortion)
-                     - (p.rate_bits - p0.rate_bits) * (p1.distortion - p0.distortion))
-            if cross <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
-
-
-def simulate_staggered_circle(scheme: CircleScheme, samples: int,
+def simulate_staggered_circle(levels: int, offsets: int, samples: int,
                               streams: SampleStreams) -> ExperimentResult:
     """Monte Carlo run of the staggered circle coder.
 
@@ -127,23 +86,15 @@ def simulate_staggered_circle(scheme: CircleScheme, samples: int,
     the common randomness, transmit the cell index, reconstruct at the
     cell center plus private noise uniform over an arc of 2*pi/(L*N).
     """
-    if scheme.variant != "staggered":
-        raise ValueError("scheme must be staggered")
-    levels, offsets = scheme.levels, scheme.offsets
-    cell = math.tau / levels
-    noise_half = math.pi / (levels * offsets)
+    if levels < 1 or offsets < 1:
+        raise ValueError("levels and offsets must be >= 1")
 
-    def step(rng, size):
-        theta = -math.pi + rng.random(size) * math.tau
-        n = rng.integers(0, offsets, size)
-        noise = (rng.random(size) * 2.0 - 1.0) * noise_half
-        offset = math.tau * n / (levels * offsets)
-        idx = np.floor((theta - offset) / cell + 0.5).astype(np.int64)
-        theta_hat = wrap_angle(offset + idx * cell + noise)
-        return 2.0 - 2.0 * np.cos(theta - theta_hat), idx % levels, theta_hat
+    def draw_offset(rng, size):
+        return math.tau * rng.integers(0, offsets, size) / (levels * offsets)
 
-    return _circle_result(simulate_blocks(streams, samples, step, levels),
-                          samples, streams.seed, rate_bits=None)
+    return _simulate_circle(levels, samples, streams, draw_offset,
+                            noise_half=math.pi / (levels * offsets),
+                            rate_bits=None)
 
 
 def simulate_dithered_circle(levels: int, samples: int,
@@ -151,33 +102,48 @@ def simulate_dithered_circle(levels: int, samples: int,
     """Monte Carlo run of the dithered circle coder at fixed rate log2 L.
 
     The dither is uniform over one cell arc (length 2*pi/L), shared by
-    encoder and decoder; the reconstruction is theta plus an independent
-    copy of the dither, so its law is exactly uniform.
+    encoder and decoder, and shifts the grid; the reconstruction is the
+    shifted cell center with no private noise, so its law is exactly
+    uniform.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
     cell = math.tau / levels
 
+    def draw_offset(rng, size):
+        return (0.5 - rng.random(size)) * cell
+
+    return _simulate_circle(levels, samples, streams, draw_offset,
+                            noise_half=0.0, rate_bits=math.log2(levels))
+
+
+def _simulate_circle(levels, samples, streams, draw_offset, noise_half,
+                     rate_bits):
+    """Per sample: draw theta uniform and the shared grid offset, transmit
+    the nearest cell of the offset L-cell grid, reconstruct at its center
+    plus private noise uniform on (-noise_half, noise_half), if nonzero.
+    A ``rate_bits`` of None reports the index entropy as the rate.
+    """
+    cell = math.tau / levels
+
     def step(rng, size):
         theta = -math.pi + rng.random(size) * math.tau
-        dither = (rng.random(size) - 0.5) * cell
-        idx = np.floor((theta + dither) / cell + 0.5).astype(np.int64)
-        theta_hat = wrap_angle(idx * cell - dither)
+        offset = draw_offset(rng, size)
+        idx = np.floor((theta - offset) / cell + 0.5).astype(np.int64)
+        theta_hat = offset + idx * cell
+        if noise_half:
+            theta_hat = theta_hat + (rng.random(size) * 2.0 - 1.0) * noise_half
+        theta_hat = wrap_angle(theta_hat)
         return 2.0 - 2.0 * np.cos(theta - theta_hat), idx % levels, theta_hat
 
-    return _circle_result(simulate_blocks(streams, samples, step, levels),
-                          samples, streams.seed, rate_bits=math.log2(levels))
-
-
-def _circle_result(blocks, samples, seed, rate_bits):
-    dist, counts, recon = blocks
+    dist, counts, recon = simulate_blocks(streams, samples, step, levels)
     index_entropy = plugin_entropy(counts)
     return ExperimentResult(
         rate_bits=index_entropy if rate_bits is None else rate_bits,
         mse=dist.mean,
         perception_ks=ks_statistic(recon, CircleSource().cdf),
         n_samples=samples,
-        seed=seed,
+        seed=streams.seed,
         mc_radius_mse=dist.mc_radius(),
         index_entropy_bits=index_entropy,
     )

@@ -20,7 +20,6 @@ import numpy as np
 from . import circle, frontier, simlab, stagger
 from .quadrature import QuadratureError
 from .simlab import fmt
-from .sources import parse_source
 
 CSV_HEADER = "scheme,params,rate_bits,distortion,perception_ks,provenance,seed,n_samples"
 _COLUMNS = CSV_HEADER.split(",")
@@ -196,16 +195,14 @@ def _run(args) -> list[dict]:
 
 
 def _scalar_exact_rows(args) -> list[dict]:
-    spec = stagger.StaggeredSpec(
-        source=parse_source(args.source), delta=args.delta,
-        n_offsets=args.offsets, origin=args.origin,
-        literal_paper_indexing=args.literal_paper_indexing)
+    spec, params = simlab.staggered_spec(simlab.ExperimentConfig(
+        scheme="scalar-staggered", source=args.source, delta=args.delta,
+        offsets=args.offsets, origin=args.origin,
+        literal_paper_indexing=args.literal_paper_indexing))
     dist = stagger.exact_code_distribution(spec)
-    base = (f"source={args.source};delta={fmt(args.delta)};"
-            f"N={args.offsets};origin={fmt(args.origin)}")
     return [
         simlab.row("scalar-staggered",
-                   base + f";pooled_H={fmt(dist.pooled_entropy_bits)}",
+                   params + f";pooled_H={fmt(dist.pooled_entropy_bits)}",
                    "exact", dist.avg_conditional_entropy_bits, dist.mse_exact,
                    0.0),
         simlab.row("scalar-dithered",

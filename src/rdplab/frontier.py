@@ -145,23 +145,30 @@ def rate_at_distortion(distortion: float) -> float:
     return rdp_point(math.sqrt(lo * hi)).rate_bits
 
 
-def gaussian_rdp_reference(distortion: float, sigma: float) -> float:
-    """Gaussian perfect-perception reference rate 0.5*log2(2*sigma^2 / D).
+def gaussian_rdp_reference(distortion: float, sigma: float,
+                           common_bits: float = 0.0) -> float:
+    """Least rate of a Gaussian source at MSE D with perfect perception and
+    R_c = ``common_bits`` bits of common randomness per letter.
 
-    This is the classical rate-distortion function evaluated at D/2 (the
-    cost of exact output-law matching without common randomness); the rate
-    reaches zero at D = 2*sigma^2.
+    Jointly Gaussian U in the region R >= I(X;U), R + R_c >= I(Y;U),
+    X - U - Y, P_Y = P_X (Saldi, Linder & Yuksel, IEEE T-IT 2015; Wagner
+    2022) gives D = 2 sigma^2 [1 - sqrt((1 - 2^-2R)(1 - 2^-2(R + R_c)))].
+    With d = D/(2 sigma^2), b = 2^-2R_c and a = 2^-2R, a is the root in
+    [0, 1] of b a^2 - (1 + b) a + d(2 - d) = 0, taken in the
+    cancellation-free form with the discriminant written as
+    (1 - b)^2 + 4b(1 - d)^2, which cannot round below zero.  R_c = 0 gives
+    0.5*log2(2 sigma^2 / D), zero at D = 2 sigma^2; R_c -> inf gives
+    -0.5*log2(1 - (1 - d)^2).  Sharing one of N offsets is R_c = log2 N.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if not 0.0 < distortion <= 2.0 * sigma ** 2:
         raise ValueError(
             f"distortion must lie in (0, 2*sigma^2], got {distortion}")
-    return max(0.0, 0.5 * math.log2(2.0 * sigma ** 2 / distortion))
-
-
-def one_shot_overhead_bound(rate_bits: float) -> float:
-    """Worst-case one-shot rate R + log2(R + 1) + 4 at informational rate R."""
-    if rate_bits < 0:
-        raise ValueError(f"rate must be nonnegative, got {rate_bits}")
-    return rate_bits + math.log2(rate_bits + 1.0) + 4.0
+    if not common_bits >= 0.0:
+        raise ValueError(f"common_bits must be >= 0, got {common_bits}")
+    d = distortion / (2.0 * sigma ** 2)
+    b = 2.0 ** (-2.0 * common_bits)
+    a = 2.0 * d * (2.0 - d) / (
+        (1.0 + b) + math.sqrt((1.0 - b) ** 2 + 4.0 * b * (1.0 - d) ** 2))
+    return max(0.0, -0.5 * math.log2(a))

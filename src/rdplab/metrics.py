@@ -1,26 +1,23 @@
 """Shared estimators and the Monte Carlo block loop.
 
-Distortion moments, plug-in entropies, the KS perception statistic,
-differential entropy by quadrature, and :func:`simulate_blocks`, the one
-loop over sample blocks that every simulator runs.
+Distortion moments (:class:`RunningMoments`), the entropy of a probability
+vector and its plug-in form on count tables, the KS perception statistic
+with its acceptance threshold, and :func:`simulate_blocks`, the one loop
+over sample blocks that every simulator runs.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_simpson
 from .rng import BLOCK
 
 # Asymptotic Kolmogorov-Smirnov critical coefficient at alpha = 0.01.
 KS_COEFF_01 = 1.628
-
-# Absolute tolerance of the differential-entropy quadrature.
-ENTROPY_QUAD_TOL = 1e-9
 
 
 def ks_threshold(n_samples: int) -> float:
@@ -69,14 +66,11 @@ class RunningMoments:
             return 0.0
         return self.m2 / (self.n - 1)
 
-    def std(self) -> float:
-        return math.sqrt(self.variance())
-
     def mc_radius(self) -> float:
         """Three-sigma Monte Carlo half-width of the mean estimate."""
         if self.n == 0:
             return 0.0
-        return 3.0 * self.std() / math.sqrt(self.n)
+        return 3.0 * math.sqrt(self.variance()) / math.sqrt(self.n)
 
 
 def simulate_blocks(streams, samples: int, step, n_bins: int):
@@ -99,47 +93,29 @@ def simulate_blocks(streams, samples: int, step, n_bins: int):
     return dist, counts, recon
 
 
-def mse(pairs) -> tuple[float, float]:
-    """Mean squared error over (x, xhat) pairs with its 3-sigma MC radius.
+def entropy_bits(probs) -> float:
+    """Entropy -sum p log2 p of a probability vector, in bits.
 
-    ``pairs`` is either an iterable of 2-tuples or a pair of equal-length
-    arrays.  Empty input is an error.
+    Zero entries contribute nothing.
     """
-    acc = RunningMoments()
-    if isinstance(pairs, tuple) and len(pairs) == 2 \
-            and isinstance(pairs[0], np.ndarray):
-        x = np.asarray(pairs[0], dtype=float)
-        xhat = np.asarray(pairs[1], dtype=float)
-        if x.shape != xhat.shape:
-            raise ValueError("x and xhat must have the same shape")
-        acc.update((x - xhat) ** 2)
-    else:
-        for x, xhat in pairs:
-            acc.update([(x - xhat) ** 2])
-    if acc.n == 0:
-        raise ValueError("mse of an empty stream")
-    return acc.mean, acc.mc_radius()
+    p = probs[probs > 0]
+    # 0.0 - x, not -x: a single cell gives +0.0 rather than -0.0
+    return float(0.0 - (p * np.log2(p)).sum())
 
 
 def plugin_entropy(counts) -> float:
-    """Plug-in entropy -sum p log2 p of a count table, in bits.
+    """Plug-in entropy of an array of counts, in bits.
 
-    Zero counts contribute nothing.  No bias correction is applied; at the
-    sample sizes used here (>= 1e6) the bias is far below reporting
-    precision.
+    No bias correction is applied; at the sample sizes used here (>= 1e6)
+    the bias is far below reporting precision.
     """
-    if isinstance(counts, Mapping):
-        values = np.asarray(list(counts.values()), dtype=float)
-    else:
-        values = np.asarray(counts, dtype=float).ravel()
+    values = np.asarray(counts, dtype=float).ravel()
     if np.any(values < 0):
         raise ValueError("negative count")
     total = values.sum()
     if total < 1:
         raise ValueError("plugin_entropy needs a total count >= 1")
-    p = values[values > 0] / total
-    # 0.0 - x, not -x: a single cell gives +0.0 rather than -0.0
-    return float(0.0 - (p * np.log2(p)).sum())
+    return entropy_bits(values / total)
 
 
 def avg_conditional_entropy(per_group_counts: Iterable) -> float:
@@ -161,19 +137,6 @@ def ks_statistic(samples, cdf) -> float:
     d_plus = np.max(i / n - f)
     d_minus = np.max(f - (i - 1) / n)
     return float(max(d_plus, d_minus))
-
-
-def differential_entropy_quadrature(pdf, support) -> float:
-    """-integral p ln p over the support, in nats, by adaptive Simpson."""
-    lo, hi = support
-
-    def integrand(x):
-        p = pdf(x)
-        if p <= 0.0:
-            return 0.0
-        return -p * math.log(p)
-
-    return adaptive_simpson(integrand, lo, hi, tol=ENTROPY_QUAD_TOL)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,30 @@ from .sources import parse_source
 
 SCHEMES = ("circle-staggered", "circle-dithered", "scalar-staggered", "frontier")
 
-CONFIG_KEYS = ("scheme", "source", "delta", "levels", "offsets", "lambda",
-               "samples", "seed", "chunk_size", "origin",
-               "literal_paper_indexing")
+
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}")
+
+
+# config-file key -> (ExperimentConfig field, value parser, sweep axis?)
+CONFIG_KEYS = {
+    "scheme": ("scheme", str, False),
+    "source": ("source", str, False),
+    "delta": ("delta", float, True),
+    "levels": ("levels", int, True),
+    "offsets": ("offsets", int, True),
+    "lambda": ("lam", float, True),
+    "samples": ("n_samples", int, True),
+    "seed": ("seed", int, True),
+    "chunk_size": ("chunk_size", int, False),
+    "origin": ("origin", float, False),
+    "literal_paper_indexing": ("literal_paper_indexing", _parse_bool, False),
+}
 
 
 @dataclass(frozen=True)
@@ -84,6 +105,23 @@ def _result_row(scheme: str, params: str, res) -> dict:
                res.perception_ks, res.seed, res.n_samples)
 
 
+def staggered_spec(config: ExperimentConfig) -> tuple[stagger.StaggeredSpec, str]:
+    """The scalar staggered spec of a config and the params string that
+    labels its rows (ending in ``;literal`` in the literal indexing mode)."""
+    spec = stagger.StaggeredSpec(
+        source=parse_source(config.source),
+        delta=config.delta,
+        n_offsets=config.offsets,
+        origin=config.origin,
+        literal_paper_indexing=config.literal_paper_indexing,
+    )
+    params = (f"source={config.source};delta={fmt(config.delta)};"
+              f"N={config.offsets};origin={fmt(config.origin)}")
+    if config.literal_paper_indexing:
+        params += ";literal"
+    return spec, params
+
+
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Dispatch one config to the matching simulator or evaluator.
 
@@ -92,8 +130,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """
     streams = SampleStreams(config.seed)
     if config.scheme == "circle-staggered":
-        scheme = circle.CircleScheme("staggered", config.levels, config.offsets)
-        res = circle.simulate_staggered_circle(scheme, config.n_samples, streams)
+        res = circle.simulate_staggered_circle(config.levels, config.offsets,
+                                               config.n_samples, streams)
         return [_result_row(config.scheme,
                             f"L={config.levels};N={config.offsets}", res)]
     if config.scheme == "circle-dithered":
@@ -101,18 +139,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                                               streams)
         return [_result_row(config.scheme, f"L={config.levels}", res)]
     if config.scheme == "scalar-staggered":
-        spec = stagger.StaggeredSpec(
-            source=parse_source(config.source),
-            delta=config.delta,
-            n_offsets=config.offsets,
-            origin=config.origin,
-            literal_paper_indexing=config.literal_paper_indexing,
-        )
+        spec, params = staggered_spec(config)
         res = stagger.simulate_pipeline(spec, config.n_samples, streams)
-        params = (f"source={config.source};delta={fmt(config.delta)};"
-                  f"N={config.offsets};origin={fmt(config.origin)}")
-        if config.literal_paper_indexing:
-            params += ";literal"
         return [_result_row(config.scheme, params, res)]
     # frontier: single quadrature point, no randomness involved
     point = frontier.rdp_point(config.lam)
@@ -120,26 +148,27 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                 point.distortion)]
 
 
-_AXES = {"levels": int, "offsets": int, "delta": float, "lambda": float,
-         "seed": int, "samples": int}
-_AXIS_FIELD = {"lambda": "lam", "samples": "n_samples"}
+_AXES = sorted(key for key, (_, _, axis) in CONFIG_KEYS.items() if axis)
 
 
 def sweep(base: ExperimentConfig, axis: str, values) -> list[dict]:
     """One run per value of a numeric parameter, rows ordered by value."""
     if axis not in _AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; use one of {sorted(_AXES)}")
-    field = _AXIS_FIELD.get(axis, axis)
+        raise ValueError(f"unknown sweep axis {axis!r}; use one of {_AXES}")
+    field, parse, _ = CONFIG_KEYS[axis]
     rows = []
     for v in values:
-        cfg = dataclasses.replace(base, **{field: _AXES[axis](v)})
+        cfg = dataclasses.replace(base, **{field: parse(v)})
         rows.extend(run_experiment(cfg))
     return rows
 
 
 def parse_config_file(path: str) -> ExperimentConfig:
-    """Read the flat ``key = value`` config format ('#' starts a comment)."""
-    raw: dict[str, str] = {}
+    """Read the flat ``key = value`` config format ('#' starts a comment).
+
+    A later line overrides an earlier one with the same key.
+    """
+    kwargs: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -151,24 +180,11 @@ def parse_config_file(path: str) -> ExperimentConfig:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = value.strip()
-    if "scheme" not in raw:
+            field, parse, _ = CONFIG_KEYS[key]
+            try:
+                kwargs[field] = parse(value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+    if "scheme" not in kwargs:
         raise ValueError(f"{path}: missing required key 'scheme'")
-
-    kwargs: dict = {"scheme": raw["scheme"]}
-    if "source" in raw:
-        kwargs["source"] = raw["source"]
-    for key, field, cast in (("delta", "delta", float),
-                             ("levels", "levels", int),
-                             ("offsets", "offsets", int),
-                             ("lambda", "lam", float),
-                             ("samples", "n_samples", int),
-                             ("seed", "seed", int),
-                             ("chunk_size", "chunk_size", int),
-                             ("origin", "origin", float)):
-        if key in raw:
-            kwargs[field] = cast(raw[key])
-    if "literal_paper_indexing" in raw:
-        kwargs["literal_paper_indexing"] = raw["literal_paper_indexing"].lower() \
-            in ("1", "true", "yes")
     return ExperimentConfig(**kwargs)

@@ -56,15 +56,8 @@ class UniformSource:
         if not self.hi > self.lo:
             raise ValueError(f"need lo < hi, got ({self.lo}, {self.hi})")
 
-    @property
-    def kind(self) -> str:
-        return "uniform"
-
     def spec_string(self) -> str:
         return f"uniform:{self.lo:g},{self.hi:g}"
-
-    def support(self):
-        return self.lo, self.hi
 
     def effective_support(self):
         return self.lo, self.hi
@@ -104,15 +97,8 @@ class GaussianSource:
         if not self.sigma > 0:
             raise ValueError(f"need sigma > 0, got {self.sigma}")
 
-    @property
-    def kind(self) -> str:
-        return "gauss"
-
     def spec_string(self) -> str:
         return f"gauss:{self.mu:g},{self.sigma:g}"
-
-    def support(self):
-        return -math.inf, math.inf
 
     def effective_support(self):
         half = GAUSS_SUPPORT_SIGMAS * self.sigma
@@ -158,15 +144,8 @@ class GaussianSource:
 class CircleSource:
     """Uniform angle on (-pi, pi] (the unit-circle source seen as a scalar)."""
 
-    @property
-    def kind(self) -> str:
-        return "circle"
-
     def spec_string(self) -> str:
         return "circle"
-
-    def support(self):
-        return -math.pi, math.pi
 
     def effective_support(self):
         return -math.pi, math.pi

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import (ExperimentResult, avg_conditional_entropy, ks_statistic,
-                      plugin_entropy, simulate_blocks)
+from .metrics import (ExperimentResult, avg_conditional_entropy, entropy_bits,
+                      ks_statistic, plugin_entropy, simulate_blocks)
 from .quadrature import adaptive_simpson
 from .rng import SampleStreams
 from .sources import DEGENERATE_MASS, SourceModel, draw_truncated
@@ -238,12 +238,6 @@ def _decode_codes(table: BoundaryTable, j: np.ndarray,
                           rng, j.shape)
 
 
-def _entropy_bits(masses: np.ndarray) -> float:
-    m = masses[masses > 0]
-    # 0.0 - x, not -x: a single cell gives +0.0 rather than -0.0
-    return float(0.0 - (m * np.log2(m)).sum())
-
-
 @dataclass(frozen=True)
 class DitheredReference:
     """Exact rate/distortion accounting of the dithered comparison scheme.
@@ -282,7 +276,7 @@ def dithered_reference(source: SourceModel, delta: float) -> DitheredReference:
     n_cells = int(masses.size)
     return DitheredReference(
         masses=masses,
-        entropy_bits=_entropy_bits(masses),
+        entropy_bits=entropy_bits(masses),
         fixed_rate_bits=math.log2(n_cells),
         n_cells=n_cells,
         mse=delta ** 2 / 12.0,
@@ -319,7 +313,7 @@ def exact_code_distribution(spec: StaggeredSpec) -> CodeDistribution:
 
     offset_of = np.mod(codes, n_off)
     per_mass = [prob[offset_of == n] * n_off for n in range(n_off)]
-    per_ent = [_entropy_bits(m) for m in per_mass]
+    per_ent = [entropy_bits(m) for m in per_mass]
 
     live = (prob > ACTIVE_EPS) & (table.b > table.a)
     m_cell, v_cell = spec.source.mean_var_on(table.cell_lo[live],
@@ -334,7 +328,7 @@ def exact_code_distribution(spec: StaggeredSpec) -> CodeDistribution:
         per_offset_masses=per_mass,
         per_offset_entropy_bits=per_ent,
         avg_conditional_entropy_bits=float(np.mean(per_ent)),
-        pooled_entropy_bits=_entropy_bits(prob),
+        pooled_entropy_bits=entropy_bits(prob),
         mse_exact=float(mse),
         dithered=dithered_reference(spec.source, spec.delta),
     )

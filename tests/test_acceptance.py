@@ -54,25 +54,6 @@ def bessel_ratio_series(lam: float) -> float:
     return s1 / s0
 
 
-def gaussian_rate_with_common_randomness(distortion: float, n_offsets: int,
-                                         sigma: float = 1.0) -> float:
-    """Least rate at MSE D for a Gaussian source with perfect perception and
-    R_c = log2 N bits of common randomness per letter.
-
-    The region R >= I(X;U), R + R_c >= I(Y;U) with X - U - Y and P_Y = P_X,
-    evaluated with jointly Gaussian U, gives
-    D = 2 sigma^2 [1 - sqrt((1 - 2^-2R)(1 - 2^-2(R + R_c)))].  With
-    d = D/(2 sigma^2), c = d(2 - d), b = N^-2 and a = 2^-2R this is the
-    quadratic b a^2 - (1 + b) a + c = 0, whose root in [0, 1] is taken in
-    the cancellation-free form; at N=1 it gives a = d exactly.
-    """
-    d = distortion / (2.0 * sigma ** 2)
-    c = d * (2.0 - d)
-    b = 1.0 / n_offsets ** 2
-    a = 2.0 * c / ((1.0 + b) + math.sqrt((1.0 + b) ** 2 - 4.0 * b * c))
-    return -0.5 * math.log2(a)
-
-
 def aligned_uniform_spec(n_offsets: int) -> rl.StaggeredSpec:
     # grid anchored at the support edge: cell edges of offset 0 at 0, 0.25, ...
     return rl.StaggeredSpec(rl.UniformSource(0.0, 1.0), 0.25, n_offsets,
@@ -104,8 +85,7 @@ def gaussian_runs():
 
 def test_c1_baseline_constants():
     t0 = time.perf_counter()
-    stag = rl.simulate_staggered_circle(rl.CircleScheme("staggered", 2, 1),
-                                        MILLION, SampleStreams(7))
+    stag = rl.simulate_staggered_circle(2, 1, MILLION, SampleStreams(7))
     t_stag = time.perf_counter() - t0
     t0 = time.perf_counter()
     dith = rl.simulate_dithered_circle(2, MILLION, SampleStreams(8))
@@ -129,9 +109,9 @@ def test_c2_staggered_grid():
     ok = True
     for levels in (2, 4, 8):
         for offsets in (1, 2, 4, 16):
-            scheme = rl.CircleScheme("staggered", levels, offsets)
             res = rl.simulate_staggered_circle(
-                scheme, MILLION, SampleStreams(100 + 10 * levels + offsets))
+                levels, offsets, MILLION,
+                SampleStreams(100 + 10 * levels + offsets))
             target = rl.staggered_circle_rd(levels, offsets).distortion
             err = abs(res.mse - target)
             worst = max(worst, err / res.mc_radius_mse)
@@ -338,21 +318,22 @@ def test_c6_reference_with_common_randomness_stated(gaussian_runs):
     R >= I(X;U), R + R_c >= I(Y;U) with X - U - Y, which with Gaussian U
     and R_c = log2 N gives
         D = 2 sigma^2 [1 - sqrt((1 - 2^-2R)(1 - 2^-2(R + R_c)))]
-    (solved for R in gaussian_rate_with_common_randomness).  Repeating the
+    (solved for R in frontier.gaussian_rdp_reference).  Repeating the
     one-shot coder i.i.d. with a fresh offset per letter is a block code
     at rate H(J|N) whose output is exactly i.i.d. with the source law, so
     its point lies in that region.  At high resolution the margin is
     0.5*log2(2 pi e/12) ~ 0.2546 bits for every N, since the staggered MSE
     delta^2/12 * (1 + 1/N^2) carries the same (1 + 1/N^2) factor as the
-    bound.  The helper is first pinned to the N=1 reference and to the
-    unlimited-common-randomness bound of the consistency check below.
+    bound.  The reference is first pinned to 0.5*log2(2 sigma^2 / D) at
+    N=1 and to the unlimited-common-randomness bound of the consistency
+    check below at N=2^20.
     """
     for _, res in gaussian_runs.values():
         d = res.mse
-        assert abs(gaussian_rate_with_common_randomness(d, 1)
-                   - rl.gaussian_rdp_reference(d, 1.0)) <= 1e-12
+        assert abs(rl.gaussian_rdp_reference(d, 1.0, math.log2(1))
+                   - 0.5 * math.log2(2.0 / d)) <= 1e-12
         rho = 1.0 - d / 2.0
-        assert abs(gaussian_rate_with_common_randomness(d, 2 ** 20)
+        assert abs(rl.gaussian_rdp_reference(d, 1.0, math.log2(2 ** 20))
                    + 0.5 * math.log2(1.0 - rho * rho)) <= 1e-9
 
     ok = True
@@ -360,7 +341,7 @@ def test_c6_reference_with_common_randomness_stated(gaussian_runs):
     for (delta, n), (_, res) in sorted(gaussian_runs.items()):
         if n == 1:
             continue
-        ref = gaussian_rate_with_common_randomness(res.mse, n)
+        ref = rl.gaussian_rdp_reference(res.mse, 1.0, math.log2(n))
         ok &= res.rate_bits >= ref
         old_gap = res.rate_bits - rl.gaussian_rdp_reference(res.mse, 1.0)
         details.append(f"delta={delta},N={n}: rate {res.rate_bits:.4f} "

@@ -4,7 +4,10 @@ Each reference below is a stand-alone per-block loop: it keeps every
 sample's code, counts codes with ``np.unique`` and inlines the clamped
 inverse-CDF decoder.  The simulators run on ``metrics.simulate_blocks``,
 count with ``np.bincount`` and share ``sources.draw_truncated``; every
-field of their results must equal the reference bit for bit.
+field of their results must equal the reference bit for bit.  The two
+circle simulators share one step, the dithered coder being its
+continuous-offset case, so the two circle references pin that step from
+both sides.
 """
 
 import dataclasses
@@ -13,8 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from rdplab.circle import (CircleScheme, simulate_dithered_circle,
-                           simulate_staggered_circle, wrap_angle)
+from rdplab.circle import (simulate_dithered_circle, simulate_staggered_circle,
+                           wrap_angle)
 from rdplab.metrics import (ExperimentResult, RunningMoments, ks_statistic,
                             plugin_entropy)
 from rdplab.rng import SampleStreams
@@ -138,17 +141,16 @@ def reference_pipeline(spec, samples, streams):
 
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
-@pytest.mark.parametrize("levels, offsets", [(1, 3), (2, 4), (3, 5)])
+@pytest.mark.parametrize("levels, offsets", [(1, 3), (2, 4), (3, 5), (4, 1)])
 def test_staggered_circle_matches_reference(levels, offsets, samples):
-    got = simulate_staggered_circle(CircleScheme("staggered", levels, offsets),
-                                    samples, SampleStreams(17))
+    got = simulate_staggered_circle(levels, offsets, samples, SampleStreams(17))
     want = reference_staggered_circle(levels, offsets, samples,
                                       SampleStreams(17))
     assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
-@pytest.mark.parametrize("levels", [1, 4])
+@pytest.mark.parametrize("levels", [1, 3, 4])
 def test_dithered_circle_matches_reference(levels, samples):
     got = simulate_dithered_circle(levels, samples, SampleStreams(23))
     want = reference_dithered_circle(levels, samples, SampleStreams(23))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdplab.circle import (CircleScheme, FrontierPoint, lower_convex_hull,
-                           one_shot_frontier, simulate_dithered_circle,
+from rdplab.circle import (FrontierPoint, one_shot_frontier,
+                           simulate_dithered_circle,
                            simulate_staggered_circle, staggered_circle_rd,
                            two_cell_objective, two_cell_objective_prime,
                            verify_two_cell_optimality, wrap_angle)
@@ -85,15 +85,19 @@ def test_one_shot_frontier_points():
 
 
 def test_every_extreme_point_is_a_hull_vertex():
+    # each interior point lies strictly below the chord of its neighbours,
+    # so the points themselves are the lower convex hull's vertices
     points = one_shot_frontier(64)
-    hull = lower_convex_hull(points)
-    assert hull == points
+    for p0, p1, p2 in zip(points, points[1:], points[2:]):
+        cross = ((p1.rate_bits - p0.rate_bits) * (p2.distortion - p0.distortion)
+                 - (p2.rate_bits - p0.rate_bits) * (p1.distortion - p0.distortion))
+        assert cross > 0, p1.params
 
 
 def test_simulated_staggered_matches_closed_form():
     for levels, offsets, seed in ((2, 1, 7), (2, 4, 8), (4, 2, 9)):
-        scheme = CircleScheme("staggered", levels, offsets)
-        res = simulate_staggered_circle(scheme, 200_000, SampleStreams(seed))
+        res = simulate_staggered_circle(levels, offsets, 200_000,
+                                        SampleStreams(seed))
         target = closed_form_distortion(levels, offsets)
         assert abs(res.mse - target) <= res.mc_radius_mse
         assert res.perception_ks < ks_threshold(res.n_samples)
@@ -116,19 +120,17 @@ def test_dithered_l4_value():
 
 
 def test_simulation_is_deterministic():
-    scheme = CircleScheme("staggered", 2, 2)
-    a = simulate_staggered_circle(scheme, 10_240, SampleStreams(42))
-    b = simulate_staggered_circle(scheme, 10_240, SampleStreams(42))
+    a = simulate_staggered_circle(2, 2, 10_240, SampleStreams(42))
+    b = simulate_staggered_circle(2, 2, 10_240, SampleStreams(42))
     assert a == b
 
 
 def test_scheme_validation():
-    with pytest.raises(ValueError):
-        CircleScheme("foo", 2, 1)
-    with pytest.raises(ValueError):
-        CircleScheme("staggered", 0, 1)
-    with pytest.raises(ValueError):
-        simulate_staggered_circle(CircleScheme("dithered", 2), 10, SampleStreams(0))
+    for levels, offsets in ((0, 1), (2, 0)):
+        with pytest.raises(ValueError, match="levels and offsets"):
+            simulate_staggered_circle(levels, offsets, 10, SampleStreams(0))
+    with pytest.raises(ValueError, match="levels"):
+        simulate_dithered_circle(0, 10, SampleStreams(0))
     with pytest.raises(ValueError):
         FrontierPoint(-0.5, 1.0, "closed-form", "")
     with pytest.raises(ValueError):

@@ -57,6 +57,19 @@ def test_scalar_exact_rates(capsys):
     assert stag[1].endswith(";pooled_H=0") and stag[2] == "0"
 
 
+def test_scalar_exact_labels_literal_mode_like_simulate(capsys):
+    spec = ["--source", "gauss:0,1", "--delta", "0.5", "--offsets", "2",
+            "--literal-paper-indexing"]
+    code, out, _ = run_cli(capsys, "scalar-exact", *spec)
+    assert code == 0
+    exact = parse_csv(out)[0][1]
+    code, out, _ = run_cli(capsys, "scalar-simulate", *spec, "--samples", "1024")
+    assert code == 0
+    simulated = parse_csv(out)[0][1]
+    assert simulated.endswith(";literal")
+    assert exact.startswith(simulated + ";pooled_H=")
+
+
 def test_json_output_matches_csv_values(capsys):
     code, out, _ = run_cli(capsys, "circle-closed-form", "--L", "4", "--N", "2",
                            "--json")
@@ -170,6 +183,16 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert len(lines) == 4
     rates = [float(l.split(",")[2]) for l in lines[1:]]
     assert rates == [1.0, 2.0, 3.0]
+
+
+def test_sweep_rejects_misspelt_boolean(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("scheme = scalar-staggered\nsource = uniform:0,1\n"
+                   "samples = 1024\nliteral_paper_indexing = ture\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith(f"rdplab: error: {cfg}:4: ")
+    assert "Traceback" not in err
 
 
 def test_help_exits_zero(capsys):

@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+import rdplab
 from rdplab.circle import one_shot_frontier
 from rdplab.frontier import (VonMisesLikeLaw, gaussian_rdp_reference,
-                             one_shot_overhead_bound, rate_at_distortion,
-                             rdp_curve, rdp_point)
+                             rate_at_distortion, rdp_curve, rdp_point)
 
 LAMBDAS = (0.01, 0.1, 1.0, 2.0, 10.0, 100.0)
 
@@ -39,6 +43,20 @@ def test_mean_cos_matches_bessel_ratio():
     for lam in LAMBDAS:
         got = VonMisesLikeLaw(lam).mean_cos()
         assert abs(got - bessel_ratio_series(lam)) <= 1e-8, lam
+
+
+def test_entropy_matches_quadrature_of_density():
+    # second route to h(Z) = ln C - lam*E[cos Z]: -integral p ln p of the pdf
+    for lam in (0.01, 1.0, 2.0, 10.0, 100.0):
+        law = VonMisesLikeLaw(lam)
+
+        def integrand(z):
+            p = law.pdf(z)
+            return -p * math.log(p) if p > 0.0 else 0.0
+
+        h, _ = scipy.integrate.quad(integrand, -math.pi, math.pi,
+                                    epsabs=1e-12, limit=400)
+        assert law.entropy_nats() == pytest.approx(h, abs=1e-9), lam
 
 
 def test_rdp_point_small_lambda_endpoint():
@@ -94,10 +112,11 @@ def test_one_shot_points_above_information_frontier():
 
 def test_frontier_ordering_chain():
     # at equal distortion: information frontier <= one-shot hull <= any
-    # finite-offset staggered point
-    from rdplab.circle import lower_convex_hull, staggered_circle_rd
+    # finite-offset staggered point; the extreme points are the hull's
+    # vertices (test_circle::test_every_extreme_point_is_a_hull_vertex)
+    from rdplab.circle import staggered_circle_rd
 
-    hull = lower_convex_hull(one_shot_frontier(64))
+    hull = one_shot_frontier(64)
     hull_d = np.array([p.distortion for p in hull])[::-1]
     hull_r = np.array([p.rate_bits for p in hull])[::-1]
 
@@ -134,13 +153,29 @@ def test_gaussian_reference_values():
         gaussian_rdp_reference(0.0, 1.0)
     with pytest.raises(ValueError):
         gaussian_rdp_reference(0.5, -1.0)
+    for bits in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="common_bits"):
+            gaussian_rdp_reference(0.5, 1.0, bits)
+    # common randomness lowers the rate; at D = 2 sigma^2 it stays zero
+    # (with the discriminant as (1 + b)^2 - 4bc, R_c = 2e-9 takes the
+    # square root of a negative number there)
+    assert gaussian_rdp_reference(0.5, 1.0, 1.0) < 1.0
+    for bits in (0.0, 2e-9, 0.5, 1.0, 20.0, math.inf):
+        assert gaussian_rdp_reference(2.0, 1.0, bits) == 0.0
+    assert gaussian_rdp_reference(0.5, 1.0, math.inf) == pytest.approx(
+        -0.5 * math.log2(1.0 - 0.75 ** 2), abs=1e-15)
 
 
-def test_overhead_bound_values():
-    assert one_shot_overhead_bound(0.0) == 4.0
-    assert one_shot_overhead_bound(1.0) == 6.0
-    assert one_shot_overhead_bound(4.0) == pytest.approx(8.0 + math.log2(5.0),
-                                                         abs=1e-12)
-    assert one_shot_overhead_bound(4.0) == pytest.approx(10.321928, abs=1e-6)
-    with pytest.raises(ValueError):
-        one_shot_overhead_bound(-0.1)
+def test_import_loads_no_scipy_subpackage_but_special():
+    # scipy.optimize alone costs about 22 MB of RSS and 0.3-0.6 s of import;
+    # solvers and references stay on scipy.special
+    src = str(Path(rdplab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, rdplab, rdplab.cli; print(' '.join(sorted("
+            "{m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert {name for name in out if not name.startswith("_")} - {"version"} \
+        == {"special"}
