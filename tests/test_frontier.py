@@ -45,20 +45,6 @@ def test_mean_cos_matches_bessel_ratio():
         assert abs(got - bessel_ratio_series(lam)) <= 1e-8, lam
 
 
-def test_entropy_matches_quadrature_of_density():
-    # second route to h(Z) = ln C - lam*E[cos Z]: -integral p ln p of the pdf
-    for lam in (0.01, 1.0, 2.0, 10.0, 100.0):
-        law = VonMisesLikeLaw(lam)
-
-        def integrand(z):
-            p = law.pdf(z)
-            return -p * math.log(p) if p > 0.0 else 0.0
-
-        h, _ = scipy.integrate.quad(integrand, -math.pi, math.pi,
-                                    epsabs=1e-12, limit=400)
-        assert law.entropy_nats() == pytest.approx(h, abs=1e-9), lam
-
-
 def test_rdp_point_small_lambda_endpoint():
     p = rdp_point(1e-8)
     assert abs(p.rate_bits - 0.0) < 1e-6

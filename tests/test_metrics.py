@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdplab.metrics import (ExperimentResult, RunningMoments,
                             avg_conditional_entropy, entropy_bits,
                             ks_statistic, ks_threshold, plugin_entropy)
+from rdplab.frontier import VonMisesLikeLaw
+from rdplab.quadrature import adaptive_simpson
 from rdplab.rng import SampleStreams
 
 
@@ -93,6 +97,39 @@ def test_ks_detects_shift():
     draws = SampleStreams(77).block(0).random(1_000_000)
     stat = ks_statistic(draws, lambda x: np.clip(x - 0.1, 0.0, 1.0))
     assert stat == pytest.approx(0.1, abs=0.005)
+
+
+def neg_p_log_p(pdf):
+    def integrand(z):
+        p = pdf(z)
+        return -p * math.log(p) if p > 0.0 else 0.0
+    return integrand
+
+
+def test_differential_entropy_uniforms():
+    h = adaptive_simpson(neg_p_log_p(lambda x: 1.0 / (2 * math.pi)),
+                         -math.pi, math.pi, tol=1e-12)
+    assert h == pytest.approx(math.log(2 * math.pi), abs=1e-9)
+    h = adaptive_simpson(neg_p_log_p(lambda x: 1.0), 0.0, 1.0, tol=1e-12)
+    assert h == pytest.approx(0.0, abs=1e-9)
+    # the exponential-cosine law flattens to the circle uniform as lam -> 0
+    assert VonMisesLikeLaw(1e-8).entropy_nats() == pytest.approx(
+        math.log(2 * math.pi), abs=1e-9)
+
+
+def test_differential_entropy_exponential_cosine_law():
+    # Bessel-identity oracle: h = ln(2*pi*I0(2)) - 2*I1(2)/I0(2)
+    lam = 2.0
+    i0, i1 = scipy.special.i0(lam), scipy.special.i1(lam)
+    oracle = math.log(2 * math.pi * i0) - lam * i1 / i0
+    assert VonMisesLikeLaw(lam).entropy_nats() == pytest.approx(oracle, abs=1e-8)
+    assert oracle == pytest.approx(1.2663213, abs=1e-6)
+    # second route to h(Z) = ln C - lam*E[cos Z]: -integral p ln p of the pdf
+    for lam in (0.01, 1.0, 2.0, 10.0, 100.0):
+        law = VonMisesLikeLaw(lam)
+        h, _ = scipy.integrate.quad(neg_p_log_p(law.pdf), -math.pi, math.pi,
+                                    epsabs=1e-12, limit=400)
+        assert law.entropy_nats() == pytest.approx(h, abs=1e-9), lam
 
 
 def test_experiment_result_validation():
