@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import circle, frontier, simlab, stagger
-from .quadrature import QuadratureError
 from .simlab import fmt
 
 CSV_HEADER = "scheme,params,rate_bits,distortion,perception_ks,provenance,seed,n_samples"
@@ -36,21 +35,6 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def rows_to_json(rows: list[dict]) -> str:
-    cooked = []
-    for row in rows:
-        item = {}
-        for c in _COLUMNS:
-            v = row[c]
-            if isinstance(v, (np.integer,)):
-                v = int(v)
-            elif isinstance(v, (np.floating,)):
-                v = float(v)
-            item[c] = v
-        cooked.append(item)
-    return json.dumps(cooked, indent=2) + "\n"
-
-
 def _point_row(scheme: str, point: circle.FrontierPoint) -> dict:
     return simlab.row(scheme, point.params, point.provenance, point.rate_bits,
                       point.distortion)
@@ -60,6 +44,25 @@ def _add_output_flags(sp):
     sp.add_argument("--out", default=None, help="write rows to this file")
     sp.add_argument("--json", action="store_true",
                     help="emit a JSON array instead of CSV")
+
+
+def _add_scalar_flags(sp):
+    sp.add_argument("--source", required=True,
+                    help="uniform:lo,hi | gauss:mu,sigma | circle")
+    sp.add_argument("--delta", type=float, required=True, help="stepsize")
+    sp.add_argument("--offsets", type=int, default=1)
+    sp.add_argument("--origin", type=float, default=0.0,
+                    help="grid anchor (cell edges of offset 0 at origin + "
+                         "(k+1/2)*delta)")
+    sp.add_argument("--literal-paper-indexing", action="store_true",
+                    help="use the unshifted boundary indexing (comparison mode)")
+
+
+def _scalar_config(args, **extra) -> simlab.ExperimentConfig:
+    return simlab.ExperimentConfig(
+        scheme="scalar-staggered", source=args.source, delta=args.delta,
+        offsets=args.offsets, origin=args.origin,
+        literal_paper_indexing=args.literal_paper_indexing, **extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,15 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scalar-simulate",
                         help="end-to-end staggered pipeline on a scalar source")
-    sp.add_argument("--source", required=True,
-                    help="uniform:lo,hi | gauss:mu,sigma | circle")
-    sp.add_argument("--delta", type=float, required=True, help="stepsize")
-    sp.add_argument("--offsets", type=int, default=1)
-    sp.add_argument("--origin", type=float, default=0.0,
-                    help="grid anchor (cell edges of offset 0 at origin + "
-                         "(k+1/2)*delta)")
-    sp.add_argument("--literal-paper-indexing", action="store_true",
-                    help="use the unshifted boundary indexing (comparison mode)")
+    _add_scalar_flags(sp)
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
     _add_output_flags(sp)
@@ -117,11 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scalar-exact",
                         help="exact code masses, rates and distortion of the "
                              "staggered scheme plus the dithered baseline")
-    sp.add_argument("--source", required=True)
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--offsets", type=int, default=1)
-    sp.add_argument("--origin", type=float, default=0.0)
-    sp.add_argument("--literal-paper-indexing", action="store_true")
+    _add_scalar_flags(sp)
     _add_output_flags(sp)
 
     sp = sub.add_parser("two-cell",
@@ -169,12 +160,8 @@ def _run(args) -> list[dict]:
                                 args.points).tolist()
         return [_point_row("rdp-frontier", p) for p in frontier.rdp_curve(grid)]
     if cmd == "scalar-simulate":
-        cfg = simlab.ExperimentConfig(
-            scheme="scalar-staggered", source=args.source, delta=args.delta,
-            offsets=args.offsets, origin=args.origin,
-            literal_paper_indexing=args.literal_paper_indexing,
-            n_samples=args.samples, seed=args.seed)
-        return simlab.run_experiment(cfg)
+        return simlab.run_experiment(
+            _scalar_config(args, n_samples=args.samples, seed=args.seed))
     if cmd == "scalar-exact":
         return _scalar_exact_rows(args)
     if cmd == "two-cell":
@@ -195,10 +182,7 @@ def _run(args) -> list[dict]:
 
 
 def _scalar_exact_rows(args) -> list[dict]:
-    spec, params = simlab.staggered_spec(simlab.ExperimentConfig(
-        scheme="scalar-staggered", source=args.source, delta=args.delta,
-        offsets=args.offsets, origin=args.origin,
-        literal_paper_indexing=args.literal_paper_indexing))
+    spec, params = simlab.staggered_spec(_scalar_config(args))
     dist = stagger.exact_code_distribution(spec)
     return [
         simlab.row("scalar-staggered",
@@ -222,8 +206,9 @@ def cli_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         rows = _run(args)
-        text = rows_to_json(rows) if args.json else rows_to_csv(rows)
-    except (ValueError, QuadratureError, RuntimeError, OSError) as exc:
+        text = (json.dumps(rows, indent=2) + "\n" if args.json
+                else rows_to_csv(rows))
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"rdplab: error: {exc}", file=sys.stderr)
         return 1
     if args.out:

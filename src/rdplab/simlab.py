@@ -3,8 +3,7 @@
 Determinism contract: a given (scheme, params, samples, seed) always
 produces bit-identical statistics.  Randomness is consumed in fixed
 1024-sample blocks with one counter-based substream per block (see
-``rng``), and partial results merge in block order.  ``chunk_size`` is
-validated (a positive multiple of the block) but nothing reads it yet.
+``rng``), and partial results merge in block order.
 
 Every output row, Monte Carlo or exact, is built by :func:`row`.
 """
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circle, frontier, stagger
-from .rng import BLOCK, SampleStreams
+from .rng import SampleStreams
 from .sources import parse_source
 
 SCHEMES = ("circle-staggered", "circle-dithered", "scalar-staggered", "frontier")
@@ -42,7 +41,6 @@ CONFIG_KEYS = {
     "lambda": ("lam", float, True),
     "samples": ("n_samples", int, True),
     "seed": ("seed", int, True),
-    "chunk_size": ("chunk_size", int, False),
     "origin": ("origin", float, False),
     "literal_paper_indexing": ("literal_paper_indexing", _parse_bool, False),
 }
@@ -60,7 +58,6 @@ class ExperimentConfig:
     lam: float = 1.0
     n_samples: int = 100_000
     seed: int = 0
-    chunk_size: int = 65_536
     origin: float = 0.0
     literal_paper_indexing: bool = False
 
@@ -69,9 +66,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.n_samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.chunk_size < BLOCK or self.chunk_size % BLOCK:
+        if self.scheme == "circle-dithered" and self.offsets != 1:
             raise ValueError(
-                f"chunk_size must be a positive multiple of {BLOCK}")
+                "circle-dithered has no offsets, so offsets (--N) must be "
+                f"1, got {self.offsets}")
 
 
 def fmt(value) -> str:

@@ -416,18 +416,6 @@ def test_c9_determinism(tmp_path, capsys):
         assert cli_dispatch(argv) == 0
         second = capsys.readouterr().out
         ok &= first == second and len(first) > 0
-
-    import dataclasses
-
-    from rdplab.simlab import ExperimentConfig, run_experiment
-    base = ExperimentConfig(scheme="scalar-staggered", source="uniform:0,1",
-                            delta=0.25, offsets=2, origin=0.125,
-                            n_samples=102_400, seed=9)
-    rows_small = run_experiment(dataclasses.replace(base, chunk_size=2 ** 10))
-    rows_large = run_experiment(dataclasses.replace(base, chunk_size=2 ** 16))
-    ok &= rows_small == rows_large
     with capsys.disabled():
-        report("c9 determinism", ok,
-               "seeded CLI reruns byte-identical; chunk sizes 2^10 and 2^16 "
-               "agree bit-for-bit")
+        report("c9 determinism", ok, "seeded CLI reruns byte-identical")
     assert ok

@@ -155,6 +155,25 @@ def test_oversized_grid_exits_one(capsys, source, delta):
     assert err.startswith("rdplab: error:") and "Traceback" not in err
 
 
+HUGE = str(10 ** 17)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["circle-simulate", "--L", HUGE, "--samples", "10"], id="L"),
+    pytest.param(["circle-simulate", "--L", "2", "--samples", HUGE],
+                 id="circle-samples"),
+    pytest.param(["scalar-simulate", "--source", "uniform:0,1", "--delta",
+                  "0.25", "--samples", HUGE], id="scalar-samples"),
+    pytest.param(["two-cell", "--r", "0.5", "--lambda", "1", "--grid", HUGE],
+                 id="grid"),
+])
+def test_oversized_allocation_exits_one(capsys, argv):
+    # 10**17 elements exceed any address space, so numpy refuses at once
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("rdplab: error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("bounds", [["--lambda-max", "inf"],
                                     ["--lambda-max", "nan"],
                                     ["--lambda-min", "nan"]])
@@ -193,6 +212,22 @@ def test_sweep_rejects_misspelt_boolean(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith(f"rdplab: error: {cfg}:4: ")
     assert "Traceback" not in err
+
+
+def test_dithered_circle_rejects_offsets(capsys):
+    code, out, err = run_cli(capsys, "circle-simulate", "--L", "2", "--N",
+                             "-5", "--dithered", "--samples", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("rdplab: error:") and "Traceback" not in err
+
+
+def test_sweep_over_offsets_rejects_dithered_circle(tmp_path, capsys):
+    cfg = tmp_path / "dithered.cfg"
+    cfg.write_text("scheme = circle-dithered\nlevels = 2\nsamples = 1024\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                             "--axis", "offsets", "--values", "1,2,4")
+    assert code == 1 and out == ""
+    assert err.startswith("rdplab: error:") and "Traceback" not in err
 
 
 def test_help_exits_zero(capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy import special
 
 import rdplab
 from rdplab.circle import one_shot_frontier
@@ -43,6 +44,20 @@ def test_mean_cos_matches_bessel_ratio():
     for lam in LAMBDAS:
         got = VonMisesLikeLaw(lam).mean_cos()
         assert abs(got - bessel_ratio_series(lam)) <= 1e-8, lam
+
+
+BESSEL_LAMBDAS = np.concatenate([np.geomspace(1e-8, 1e4, 400),
+                                 np.geomspace(0.01, 100.0, 25)]).tolist()
+
+
+def test_frontier_matches_bessel_functions():
+    # E[cos Z] = I1/I0 and ln C = ln(2 pi) + lam + ln i0e(lam), so the rate
+    # is (lam*r - lam - ln i0e(lam)) / ln 2 bits
+    for lam in BESSEL_LAMBDAS:
+        r = special.i1e(lam) / special.i0e(lam)
+        assert abs(VonMisesLikeLaw(lam).mean_cos() - r) <= 1e-9, lam
+        rate = (lam * r - lam - math.log(special.i0e(lam))) / math.log(2.0)
+        assert abs(rdp_point(lam).rate_bits - rate) <= 2e-8, lam
 
 
 def test_rdp_point_small_lambda_endpoint():

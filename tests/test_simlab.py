@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -13,15 +12,6 @@ def test_run_twice_is_identical():
     cfg = ExperimentConfig(scheme="circle-staggered", levels=2, offsets=2,
                            n_samples=20_480, seed=7)
     assert run_experiment(cfg) == run_experiment(cfg)
-
-
-def test_chunk_size_does_not_change_results():
-    base = ExperimentConfig(scheme="scalar-staggered", source="uniform:0,1",
-                            delta=0.25, offsets=2, origin=0.125,
-                            n_samples=20_480, seed=3)
-    small = dataclasses.replace(base, chunk_size=2 ** 10)
-    large = dataclasses.replace(base, chunk_size=2 ** 16)
-    assert run_experiment(small) == run_experiment(large)
 
 
 def test_circle_staggered_run_matches_closed_form():
@@ -90,8 +80,9 @@ def test_config_validation():
         ExperimentConfig(scheme="nope")
     with pytest.raises(ValueError):
         ExperimentConfig(scheme="frontier", n_samples=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(scheme="frontier", chunk_size=1000)
+    with pytest.raises(ValueError, match="circle-dithered"):
+        ExperimentConfig(scheme="circle-dithered", offsets=2)
+    assert ExperimentConfig(scheme="circle-dithered", offsets=1).offsets == 1
 
 
 def test_parse_config_file(tmp_path):
@@ -102,11 +93,10 @@ def test_parse_config_file(tmp_path):
         "levels = 2   # one bit\n"
         "offsets = 4\n"
         "samples = 2048\n"
-        "seed = 9\n"
-        "chunk_size = 1024\n")
+        "seed = 9\n")
     cfg = parse_config_file(str(path))
     assert cfg.levels == 2 and cfg.offsets == 4 and cfg.seed == 9
-    assert cfg.n_samples == 2048 and cfg.chunk_size == 1024
+    assert cfg.n_samples == 2048
     row = run_experiment(cfg)[0]
     assert abs(row["distortion"]
                - staggered_circle_rd(2, 4).distortion) < 0.05
