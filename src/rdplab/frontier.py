@@ -76,11 +76,8 @@ class VonMisesLikeLaw:
         return self.log_normalizer() - self.lam * self.mean_cos()
 
     def pdf(self, z):
-        zz = np.asarray(z, dtype=float)
-        out = np.where(np.abs(zz) <= math.pi,
-                       np.exp(self.lam * (np.cos(zz) - 1.0)) / self._chat,
-                       0.0)
-        return float(out) if out.ndim == 0 else out
+        return ((np.abs(z) <= math.pi)
+                * np.exp(self.lam * (np.cos(z) - 1.0)) / self._chat)
 
 
 def rdp_point(lam: float) -> FrontierPoint:

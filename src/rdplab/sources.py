@@ -12,6 +12,10 @@ The Gaussian CDF and quantile are scipy's ``ndtr`` and ``ndtri``: ndtr
 keeps full relative accuracy in the left tail, and ndtri is within 1e-14
 absolute of the exact root for every double u in (0, 1).  ``mean_var_on``
 works elementwise on arrays of interval ends.
+
+Every law's ``pdf``, ``cdf`` and ``quantile`` compute on the float or
+array they are given and return numpy's result: a scalar gives a scalar
+(never a 0-d array) with the bits of the matching array element.
 """
 
 from __future__ import annotations
@@ -31,13 +35,14 @@ GAUSS_SUPPORT_SIGMAS = 10.0
 DEGENERATE_MASS = 1e-12
 
 
-def _as_array(x):
-    a = np.asarray(x, dtype=float)
-    return a, (a.ndim == 0)
-
-
-def _ret(a, scalar):
-    return float(a) if scalar else a
+# Truncated-normal moments on intervals narrower than NARROW_SIGMAS
+# standard deviations come from a Taylor series of order SERIES_ORDER.
+# Against 120-digit mpmath on 41 centres in [-10, 10] sigma, that series
+# is within 3e-14 relative in the variance at width 0.75 and 3e-15 below
+# 0.6; the closed form is off by 1e-10 at 0.75, 2e-9 at 0.1 and 0.8 at
+# 1e-4.
+NARROW_SIGMAS = 0.75
+SERIES_ORDER = 24
 
 
 def _check_unit_interval(u):
@@ -63,18 +68,14 @@ class UniformSource:
         return self.lo, self.hi
 
     def pdf(self, x):
-        a, scalar = _as_array(x)
-        inside = (a >= self.lo) & (a <= self.hi)
-        return _ret(np.where(inside, 1.0 / (self.hi - self.lo), 0.0), scalar)
+        return ((x >= self.lo) & (x <= self.hi)) / (self.hi - self.lo)
 
     def cdf(self, x):
-        a, scalar = _as_array(x)
-        return _ret(np.clip((a - self.lo) / (self.hi - self.lo), 0.0, 1.0), scalar)
+        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def quantile(self, u):
-        a, scalar = _as_array(u)
-        _check_unit_interval(a)
-        return _ret(self.lo + a * (self.hi - self.lo), scalar)
+        _check_unit_interval(u)
+        return self.lo + u * (self.hi - self.lo)
 
     def sample(self, rng: np.random.Generator, size=None):
         return self.lo + rng.random(size) * (self.hi - self.lo)
@@ -96,6 +97,11 @@ class GaussianSource:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError(f"need sigma > 0, got {self.sigma}")
+        lo, hi = self.effective_support()
+        if not lo < hi:
+            raise ValueError(f"mu +/- {GAUSS_SUPPORT_SIGMAS:g} sigma rounds "
+                             f"to one point at mu {self.mu:g}, "
+                             f"sigma {self.sigma:g}")
 
     def spec_string(self) -> str:
         return f"gauss:{self.mu:g},{self.sigma:g}"
@@ -105,39 +111,68 @@ class GaussianSource:
         return self.mu - half, self.mu + half
 
     def pdf(self, x):
-        a, scalar = _as_array(x)
-        z = (a - self.mu) / self.sigma
-        val = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(math.tau))
-        return _ret(val, scalar)
+        z = (x - self.mu) / self.sigma
+        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(math.tau))
 
     def cdf(self, x):
-        a, scalar = _as_array(x)
-        return _ret(special.ndtr((a - self.mu) / self.sigma), scalar)
+        return special.ndtr((x - self.mu) / self.sigma)
 
     def quantile(self, u):
-        a, scalar = _as_array(u)
-        _check_unit_interval(a)
-        return _ret(self.mu + self.sigma * special.ndtri(a), scalar)
+        _check_unit_interval(u)
+        return self.mu + self.sigma * special.ndtri(u)
 
     def sample(self, rng: np.random.Generator, size=None):
         return self.mu + self.sigma * rng.standard_normal(size)
 
     def mean_var_on(self, a, b):
-        """Truncated-normal mean and variance on [a, b]."""
+        """Truncated-normal mean and variance on [a, b].
+
+        Intervals narrower than NARROW_SIGMAS take both moments from
+        ``_centred_moments``; the closed form's variance
+        1 + (al*phi(al) - be*phi(be))/Z - m^2 falls from O(1) to width^2/12
+        there and keeps only the digits the cancellation leaves.
+        """
         a, b = np.broadcast_arrays(a, b)
         al = (a - self.mu) / self.sigma
         be = (b - self.mu) / self.sigma
         # reflect intervals above the mean: ndtr(be) - ndtr(al) cancels there
         up = al > 0
-        al, be = np.where(up, -be, al), np.where(up, -al, be)
-        z = special.ndtr(be) - special.ndtr(al)
+        lo, hi = np.where(up, -be, al), np.where(up, -al, be)
+        z = special.ndtr(hi) - special.ndtr(lo)
         if np.any(z <= 0):
             k = np.argmax(z <= 0)
             raise ValueError(f"no mass on [{a.flat[k]}, {b.flat[k]}]")
-        pa, pb = (np.exp(-0.5 * t * t) / math.sqrt(math.tau) for t in (al, be))
+        pa, pb = (np.exp(-0.5 * t * t) / math.sqrt(math.tau) for t in (lo, hi))
         m = (pa - pb) / z
-        v = 1.0 + (al * pa - be * pb) / z - m * m
-        return self.mu + self.sigma * np.where(up, -m, m), self.sigma ** 2 * v
+        v = 1.0 + (lo * pa - hi * pb) / z - m * m
+        m = np.where(up, -m, m)
+        narrow = be - al < NARROW_SIGMAS
+        if np.any(narrow):
+            m[narrow], v[narrow] = _centred_moments(al[narrow], be[narrow])
+        return self.mu + self.sigma * m, self.sigma ** 2 * v
+
+
+def _centred_moments(al, be):
+    """Mean and variance of N(0, 1) restricted to [al, be], from the Taylor
+    series of its density about the centre c: on t in [-h, h] it is
+    proportional to exp(-c*t - t^2/2) = sum_n He_n(c) (-t)^n / n!, with
+    He_n the probabilists' Hermite polynomials.  With p_n = He_n(c) h^n / n!
+    the mass and the first two moments of t are sums of p_n over n, and
+    the variance subtracts a term of order c^2 h^4 from one of order h^2,
+    so it cancels nothing.
+    """
+    c, h = 0.5 * (al + be), 0.5 * (be - al)
+    p_prev, p = np.ones_like(c), c * h
+    s0, s1, s2 = np.ones_like(c), -p * h / 3.0, h * h / 3.0
+    for n in range(2, SERIES_ORDER + 1):
+        p_prev, p = p, (c * h * p - h * h * p_prev) / n
+        if n % 2:
+            s1 = s1 - p * h / (n + 2)
+        else:
+            s0 = s0 + p / (n + 1)
+            s2 = s2 + p * h * h / (n + 3)
+    mt = s1 / s0
+    return c + mt, s2 / s0 - mt * mt
 
 
 @dataclass(frozen=True)
@@ -151,18 +186,14 @@ class CircleSource:
         return -math.pi, math.pi
 
     def pdf(self, x):
-        a, scalar = _as_array(x)
-        inside = (a >= -math.pi) & (a <= math.pi)
-        return _ret(np.where(inside, 1.0 / math.tau, 0.0), scalar)
+        return ((x >= -math.pi) & (x <= math.pi)) / math.tau
 
     def cdf(self, x):
-        a, scalar = _as_array(x)
-        return _ret(np.clip((a + math.pi) / math.tau, 0.0, 1.0), scalar)
+        return np.clip((x + math.pi) / math.tau, 0.0, 1.0)
 
     def quantile(self, u):
-        a, scalar = _as_array(u)
-        _check_unit_interval(a)
-        return _ret(-math.pi + a * math.tau, scalar)
+        _check_unit_interval(u)
+        return -math.pi + u * math.tau
 
     def sample(self, rng: np.random.Generator, size=None):
         return -math.pi + rng.random(size) * math.tau
@@ -177,7 +208,7 @@ SourceModel = UniformSource | GaussianSource | CircleSource
 
 
 def draw_truncated(parent: SourceModel, a, b, fa, fb,
-                   rng: np.random.Generator, size=None):
+                   rng: np.random.Generator, size):
     """Draw from ``parent`` conditioned on [a, b], given fa = F(a), fb = F(b).
 
     Inverse CDF: quantile(F(a) + U * (F(b) - F(a))), clipped to [a, b].

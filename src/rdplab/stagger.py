@@ -21,8 +21,8 @@ centers decoder intervals one full step away from their cells.
 A table evaluates the source CDF once on its cell edges (reaching N codes
 past the candidate range on either side) and once on its boundaries; code
 masses, the N-term averages and the clipped cells all slice the one edge
-array.  Single codes and the simulators' code arrays decode through the
-same inverse-CDF draw.
+array.  The one decoder, ``decode(table, j, rng)``, draws every code of
+an array from its interval by the inverse CDF, one uniform per code.
 """
 
 from __future__ import annotations
@@ -50,6 +50,16 @@ MASS_TOL = 1e-9
 # the limit peaks near 100 MB.  Codes must also be exact as doubles.
 MAX_TABLE_CODES = 2 ** 20
 MAX_CODE_INDEX = 2.0 ** 53
+
+# Squared errors on a support of width W reach W^2, and a Monte Carlo
+# error bar sums their squares, W^4 per sample.  Up to this width both
+# stay finite for any count of samples below 2^53.
+MAX_SUPPORT_WIDTH = 1e70
+
+# One cell covers the support long before delta reaches this many support
+# widths.  Beyond it, cell edges standardized by a narrow Gaussian's sigma
+# overflow.
+MAX_DELTA_WIDTHS = 1e100
 
 # Absolute tolerance of the adaptive Simpson rule per dithered cell mass.
 DITHER_QUAD_TOL = 1e-12
@@ -83,24 +93,23 @@ class StaggeredSpec:
             raise ValueError(f"origin must be finite, got {self.origin}")
         if self.n_offsets < 1:
             raise ValueError(f"n_offsets must be >= 1, got {self.n_offsets}")
+        lo, hi = self.source.effective_support()
+        if not self.delta <= MAX_DELTA_WIDTHS * (hi - lo):
+            raise ValueError(f"delta {self.delta:g} exceeds "
+                             f"{MAX_DELTA_WIDTHS:g} support widths")
 
 
 def encode(spec: StaggeredSpec, x, n):
     """Cell index of x under the n-th offset quantizer (round-half-up)."""
-    n_arr = np.asarray(n)
-    if np.any(n_arr < 0) or np.any(n_arr >= spec.n_offsets):
+    if np.any(n < 0) or np.any(n >= spec.n_offsets):
         raise ValueError(f"offset index out of range [0, {spec.n_offsets})")
-    t = (np.asarray(x, dtype=float) - spec.origin) / spec.delta \
-        - n_arr / spec.n_offsets
-    idx = np.floor(t + 0.5).astype(np.int64)
-    return int(idx) if idx.ndim == 0 else idx
+    t = (x - spec.origin) / spec.delta - n / spec.n_offsets
+    return np.floor(t + 0.5).astype(np.int64)
 
 
 def cell_left(spec: StaggeredSpec, j):
     """Left edge of the cell with global code j: origin + delta*(j/N - 1/2)."""
-    jj = np.asarray(j, dtype=float)
-    out = spec.origin + spec.delta * (jj / spec.n_offsets - 0.5)
-    return float(out) if out.ndim == 0 else out
+    return spec.origin + spec.delta * (j / spec.n_offsets - 0.5)
 
 
 @dataclass(frozen=True)
@@ -154,6 +163,10 @@ def build_boundaries(spec: StaggeredSpec) -> BoundaryTable:
                          f"{n_off} offsets give codes {t_lo:.3g} .. "
                          f"{t_hi:.3g}; a table takes at most "
                          f"{MAX_TABLE_CODES} codes, within +/-2^53")
+    if not hi - lo <= MAX_SUPPORT_WIDTH:
+        raise ValueError(f"support width {hi - lo:g} exceeds "
+                         f"{MAX_SUPPORT_WIDTH:g}: squared errors would "
+                         f"overflow")
     j_min = int(math.ceil(t_lo)) - 1
     j_max = int(math.floor(t_hi)) + 1
     # edges[e] is the left end of the cell with code j_min - N + e, so the
@@ -209,20 +222,11 @@ def build_boundaries(spec: StaggeredSpec) -> BoundaryTable:
     return table
 
 
-def decode(table: BoundaryTable, i: int, n: int, rng: np.random.Generator,
-           size=None):
-    """Reconstruction for cell index i under offset n: a draw from the
-    source conditioned on the interval of code j = N*i + n."""
-    spec = table.spec
-    if not 0 <= n < spec.n_offsets:
-        raise ValueError(f"offset index out of range [0, {spec.n_offsets})")
-    j = np.full(() if size is None else size, spec.n_offsets * i + n)
-    return _decode_codes(table, j, rng)
-
-
-def _decode_codes(table: BoundaryTable, j: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Decoder for an array of codes, one uniform draw per code."""
+def decode(table: BoundaryTable, j: np.ndarray,
+           rng: np.random.Generator) -> np.ndarray:
+    """Reconstructions for an array of global codes j = N*i + n: each a
+    draw from the source conditioned on [a(j), b(j)], one uniform per code.
+    """
     if np.any(j < table.j_first) or np.any(j > table.j_last):
         bad = int(j[(j < table.j_first) | (j > table.j_last)][0])
         raise InactiveCodeError(f"code {bad} outside the active table")
@@ -262,6 +266,13 @@ def dithered_reference(source: SourceModel, delta: float) -> DitheredReference:
     """Exact cell masses of the index f(X + Z) under uniform dither Z."""
     if delta <= 0:
         raise ValueError("delta must be positive")
+    try:
+        mse = delta ** 2 / 12.0
+    except OverflowError:
+        mse = math.inf
+    if not math.isfinite(mse):
+        raise ValueError(f"delta {delta:g} gives a dithered distortion "
+                         f"delta^2/12 beyond the float range")
     lo, hi = source.effective_support()
     n_raw = int(math.ceil((hi - lo + delta) / delta - 1e-9))
     edges = (lo - delta / 2.0) + delta * np.arange(n_raw + 1)
@@ -279,7 +290,7 @@ def dithered_reference(source: SourceModel, delta: float) -> DitheredReference:
         entropy_bits=entropy_bits(masses),
         fixed_rate_bits=math.log2(n_cells),
         n_cells=n_cells,
-        mse=delta ** 2 / 12.0,
+        mse=mse,
     )
 
 
@@ -350,7 +361,7 @@ def simulate_pipeline(spec: StaggeredSpec, samples: int,
         x = spec.source.sample(rng, size)
         n = rng.integers(0, n_off, size)
         j = n_off * encode(spec, x, n) + n
-        xhat = _decode_codes(table, j, rng)
+        xhat = decode(table, j, rng)
         return (x - xhat) ** 2, j - table.j_first, xhat
 
     dist, counts, recon = simulate_blocks(streams, samples, step,

@@ -155,6 +155,30 @@ def test_oversized_grid_exits_one(capsys, source, delta):
     assert err.startswith("rdplab: error:") and "Traceback" not in err
 
 
+def exact(source, delta):
+    return ["scalar-exact", "--source", source, "--delta", delta]
+
+
+@pytest.mark.parametrize("argv", [
+    exact("gauss:0,1", "1e160"), exact("gauss:0,1", "1e300"),
+    exact("uniform:0,1", "1e160"), exact("uniform:0,1", "1e300"),
+    # wide supports: delta passes the spec's checks and reaches the
+    # dithered reference, where delta^2/12 overflows
+    exact("uniform:0,1e60", "1e155"), exact("gauss:0,1e60", "1e160"),
+    # squared errors that overflow, cell edges that overflow once
+    # standardized, and a Gaussian support that rounds to one point
+    exact("gauss:0,1e300", "1e300"),
+    ["scalar-simulate", "--source", "uniform:-1e300,1e300", "--delta",
+     "1e299", "--samples", "100"],
+    ["scalar-simulate", "--source", "gauss:1e-9,1e-9", "--delta", "1e300",
+     "--offsets", "5", "--samples", "100"],
+    exact("gauss:1e300,1", "1")])
+def test_out_of_range_scales_exit_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("rdplab: error:") and "Traceback" not in err
+
+
 HUGE = str(10 ** 17)
 
 

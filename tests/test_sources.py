@@ -167,7 +167,7 @@ def test_truncated_degenerate_interval_rejected():
             cols[name] = col
         table = dataclasses.replace(table, **cols)
         with pytest.raises(ValueError, match="degenerate"):
-            decode(table, int(table.codes[k]), 0, rng, 10)
+            decode(table, np.full(10, table.codes[k]), rng)
 
 
 def test_truncated_moments_against_scipy():
@@ -199,6 +199,58 @@ def test_truncated_moments_against_scipy():
         ref = [scipy.stats.uniform(x, y - x) for x, y in zip(a_in, b_in)]
         np.testing.assert_allclose(m, [r.mean() for r in ref], rtol=1e-14)
         np.testing.assert_allclose(v, [r.var() for r in ref], rtol=1e-12)
+
+
+def mpmath_truncnorm_moments(mpmath, a, b):
+    """Mean and variance of N(0, 1) on [a, b] in 60-digit arithmetic,
+    reflected to the lower half so the mass never cancels against 1."""
+    with mpmath.workdps(60):
+        sign = -1 if a > 0 else 1
+        lo, hi = sorted((sign * mpmath.mpf(a), sign * mpmath.mpf(b)))
+        z = mpmath.ncdf(hi) - mpmath.ncdf(lo)
+        pa, pb = mpmath.npdf(lo), mpmath.npdf(hi)
+        m = (pa - pb) / z
+        v = 1 + (lo * pa - hi * pb) / z - m * m
+        return sign * m, v
+
+
+def test_truncated_variance_on_narrow_cells_matches_mpmath():
+    # the closed form 1 + (a phi(a) - b phi(b))/Z - m^2 cancels from O(1)
+    # down to width^2/12; the library must keep the variance's digits
+    mpmath = pytest.importorskip("mpmath")
+    src = GaussianSource(0.0, 1.0)
+    centres = [0.0, 0.3, -0.3, 1.7, -1.7, 3.0, -3.0, 5.5, -5.5, 8.0, -8.0]
+    for width, tol in [(1e-6, 1e-12), (1e-5, 1e-12), (1e-4, 1e-12),
+                       (1e-3, 1e-12), (1e-2, 1e-12), (0.1, 2e-10)]:
+        a = np.array([c - width / 2 for c in centres])
+        b = np.array([c + width / 2 for c in centres])
+        m, v = src.mean_var_on(a, b)
+        for k in range(a.size):
+            m_ref, v_ref = mpmath_truncnorm_moments(mpmath, a[k], b[k])
+            assert abs(float((v[k] - v_ref) / v_ref)) <= tol, (width, a[k])
+            assert abs(float(m[k] - m_ref)) <= 1e-14, (width, a[k])
+
+
+POINTS = [-4.0, -2.0, -math.pi, -0.5, 0.0, 0.3, 1.0, math.pi, 3.0, 7.5,
+          -math.inf, math.inf]
+UNITS = [0.0, 5e-324, 1e-300, 0.025, 0.5, 0.75, 1.0 - 2 ** -53]
+
+
+@pytest.mark.parametrize("method", ["pdf", "cdf", "quantile"])
+@pytest.mark.parametrize("src", ALL_SOURCES, ids=lambda s: s.spec_string())
+def test_scalar_gives_the_array_bits(src, method):
+    # one convention: numpy decides, so a scalar argument gives a scalar
+    # (never a 0-d array) with the bits of the matching array element;
+    # the grids hold the support edges, points outside it and u = 0
+    fn = getattr(src, method)
+    args = (UNITS if method == "quantile"
+            else POINTS + list(src.effective_support()))
+    whole = fn(np.array(args))
+    for k, x in enumerate(args):
+        for arg in (x, np.float64(x)):
+            got = fn(arg)
+            assert not isinstance(got, np.ndarray)
+            assert np.float64(got).tobytes() == whole[k].tobytes(), (arg, got)
 
 
 @settings(max_examples=200, deadline=None)

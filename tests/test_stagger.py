@@ -83,6 +83,27 @@ def test_encode_rejects_bad_offset():
         encode(StaggeredSpec(UNIT, 1.0, 2), 0.0, 2)
 
 
+def test_encode_and_cell_left_scalars_give_the_array_bits():
+    # a scalar argument gives a numpy scalar with the bits of the matching
+    # element of the array result, at ties, far outside and at large codes
+    spec = StaggeredSpec(GaussianSource(0.3, 2.0), 0.25, 3, origin=-0.1)
+    x = [-0.1, 0.025, -0.225, 0.0, 1e-300, -40.0, 40.0, 1e6, -2.5e9]
+    n = [0, 1, 2, 0, 1, 2, 0, 1, 2]
+    idx = encode(spec, np.array(x), np.array(n))
+    for k in range(len(x)):
+        for xs, ns in ((x[k], n[k]), (np.float64(x[k]), np.int64(n[k]))):
+            got = encode(spec, xs, ns)
+            assert not isinstance(got, np.ndarray)
+            assert got.dtype == idx.dtype and got == idx[k]
+    j = [-(2 ** 40), -7, -1, 0, 1, 2, 3, 1000, 2 ** 52]
+    left = cell_left(spec, np.array(j))
+    for k in range(len(j)):
+        for js in (j[k], np.int64(j[k])):
+            got = cell_left(spec, js)
+            assert not isinstance(got, np.ndarray)
+            assert np.float64(got).tobytes() == left[k].tobytes()
+
+
 def test_cell_left_values():
     assert cell_left(StaggeredSpec(UNIT, 1.0, 2), 3) == pytest.approx(1.0)
     assert cell_left(StaggeredSpec(UNIT, 1.0, 1), 0) == pytest.approx(-0.5)
@@ -317,12 +338,13 @@ def test_decode_stays_in_interval_and_rejects_inactive():
     table = build_boundaries(spec)
     rng = SampleStreams(1).block(0)
     a, b = table.a[-table.j_first], table.b[-table.j_first]
-    draws = decode(table, 0, 0, rng, 1000)
+    draws = decode(table, np.zeros(1000, dtype=np.int64), rng)
     assert np.all((draws >= a) & (draws <= b))
     with pytest.raises(InactiveCodeError):
-        decode(table, 10_000, 0, rng)
+        decode(table, np.array([20_000]), rng)
+    # the offset-range check lives in the encoder, which makes the codes
     with pytest.raises(ValueError):
-        decode(table, 0, 5, rng)
+        encode(spec, 0.0, 5)
 
 
 def test_literal_mode_edge_code_is_degenerate():
@@ -332,15 +354,13 @@ def test_literal_mode_edge_code_is_degenerate():
     assert table.prob[0] > ACTIVE_EPS
     assert table.fb[0] - table.fa[0] < DEGENERATE_MASS
     rng = SampleStreams(2).block(0)
-    n = table.j_first % 2
-    i = (table.j_first - n) // 2
     with pytest.raises(InactiveCodeError, match="degenerate"):
-        decode(table, i, n, rng)
+        decode(table, np.array([table.j_first]), rng)
 
 
 def test_decode_matches_code_array_draws():
-    # one decoder: a single code draws what the simulators' array path
-    # draws for the same code and stream, in any output shape
+    # one decoder: a code array draws the clipped quantile of
+    # F(a) + U (F(b) - F(a)), one uniform per code, in the array's shape
     table = build_boundaries(StaggeredSpec(GaussianSource(2.0, 3.0), 0.3, 3,
                                            origin=0.1))
     i, n = 4, 2
@@ -348,8 +368,8 @@ def test_decode_matches_code_array_draws():
     k = j - table.j_first
     src, a, b = table.spec.source, table.a[k], table.b[k]
     fa, fb = src.cdf(a), src.cdf(b)
-    for size in (None, 7, (2, 3)):
-        got = decode(table, i, n, SampleStreams(8).block(0), size)
+    for size in ((), 7, (2, 3)):
+        got = decode(table, np.full(size, j), SampleStreams(8).block(0))
         u = SampleStreams(8).block(0).random(size)
         want = np.clip(src.quantile(fa + u * (fb - fa)), a, b)
         assert np.shape(got) == np.shape(want)
@@ -474,6 +494,12 @@ def test_spec_validation():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             StaggeredSpec(UNIT, 0.25, 1, origin=bad)
+
+
+def test_dithered_reference_rejects_an_overflowing_distortion():
+    with pytest.raises(ValueError, match=r"delta 1e\+160"):
+        dithered_reference(GAUSS, 1e160)
+    assert dithered_reference(UNIT, 2.0).mse == 2.0 ** 2 / 12.0
 
 
 def test_grid_size_cap():
