@@ -153,11 +153,7 @@ def _run(args) -> list[dict]:
             raise ValueError("need at least one grid point")
         if not (0 < args.lambda_min <= args.lambda_max < math.inf):
             raise ValueError("need 0 < lambda-min <= lambda-max, both finite")
-        if args.points == 1:
-            grid = [args.lambda_min]
-        else:
-            grid = np.geomspace(args.lambda_min, args.lambda_max,
-                                args.points).tolist()
+        grid = np.geomspace(args.lambda_min, args.lambda_max, args.points)
         return [_point_row("rdp-frontier", p) for p in frontier.rdp_curve(grid)]
     if cmd == "scalar-simulate":
         return simlab.run_experiment(
@@ -175,9 +171,9 @@ def _run(args) -> list[dict]:
     base = simlab.parse_config_file(args.config)
     if args.axis is None:
         return simlab.run_experiment(base)
-    if args.values is None:
+    values = [v for v in (args.values or "").split(",") if v]
+    if not values:
         raise ValueError("--axis requires --values")
-    values = [v for v in args.values.split(",") if v]
     return simlab.sweep(base, args.axis, values)
 
 
@@ -208,7 +204,8 @@ def cli_dispatch(argv) -> int:
         rows = _run(args)
         text = (json.dumps(rows, indent=2) + "\n" if args.json
                 else rows_to_csv(rows))
-    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError,
+            OverflowError) as exc:
         print(f"rdplab: error: {exc}", file=sys.stderr)
         return 1
     if args.out:

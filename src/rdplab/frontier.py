@@ -10,13 +10,17 @@ on (-pi, pi]; each lam yields the pair
     R = (ln(2*pi) - h(Z)) / ln(2)   bits,
     D = 2 - 2*E[cos(Z)],
 
-with h(Z) = ln C(lam) - lam*E[cos Z] nats.  For every lam in (0, 1e4]
-the quadrature is one adaptive Simpson rule on [0, pi] of the well-scaled
-integrand exp(lam*(cos z - 1)), whose peak sits on the node z = 0.  On
-400 log-spaced lam in [1e-8, 1e4], E[cos Z] is within 4e-10 of
-I1(lam)/I0(lam) and the rate within 1e-8 bits of the Bessel value.
-Entropies are kept in nats internally and converted to bits only at the
-interface.
+with h(Z) = ln C(lam) - lam*E[cos Z] nats.  The rate is computed as the
+divergence from the uniform law, (lam*(E[cos Z] - 1) - ln(1 + q)) / ln 2
+with q = C(lam)*exp(-lam)/(2*pi) - 1: at small lam, ln(2*pi) and h(Z)
+agree in nearly all their digits.  For every lam in (0, 1e4] each
+integral is one adaptive Simpson rule on [0, pi] of a well-scaled
+integrand, expm1(lam*(cos z - 1)) for q and cos(z)*exp(lam*(cos z - 1))
+for E[cos Z], whose peak sits on the node z = 0.  On 400 log-spaced lam
+in [1e-8, 1e4], E[cos Z] is within 4e-10 of I1(lam)/I0(lam) and the rate
+within 1e-8 bits of the Bessel value; below lam = 1e-4 the rate stays
+within 3% of its series lam^2/(4 ln 2).  Entropies are kept in nats
+internally and converted to bits only at the interface.
 """
 
 from __future__ import annotations
@@ -47,25 +51,27 @@ class VonMisesLikeLaw:
         if lam <= 0:
             raise ValueError(f"lam must be positive, got {lam}")
         self.lam = float(lam)
-        self._chat, self._mhat = self._integrals()
+        self._q, self._mhat = self._integrals()
+        self._chat = math.tau * (1.0 + self._q)
 
     def _integrals(self):
-        """(C(lam), M(lam)) both scaled by exp(-lam) to avoid overflow.
+        """(q, M(lam)*exp(-lam)) with q = C(lam)*exp(-lam)/(2*pi) - 1.
 
-        Both integrands are even, so each is twice its integral on [0, pi].
+        Both integrands are even, so each integral on (-pi, pi] is twice
+        its integral on [0, pi].
         """
         lam = self.lam
-        chat = adaptive_simpson(
-            lambda z: math.exp(lam * (math.cos(z) - 1.0)),
-            0.0, math.pi, tol=QUAD_TOL)
+        q = adaptive_simpson(
+            lambda z: math.expm1(lam * (math.cos(z) - 1.0)),
+            0.0, math.pi, tol=QUAD_TOL) / math.pi
         mhat = adaptive_simpson(
             lambda z: math.cos(z) * math.exp(lam * (math.cos(z) - 1.0)),
             0.0, math.pi, tol=QUAD_TOL)
-        return 2.0 * chat, 2.0 * mhat
+        return q, 2.0 * mhat
 
     def log_normalizer(self) -> float:
         """ln C(lam)."""
-        return self.lam + math.log(self._chat)
+        return LN_TWO_PI + self.lam + math.log1p(self._q)
 
     def mean_cos(self) -> float:
         """E[cos Z]."""
@@ -74,6 +80,11 @@ class VonMisesLikeLaw:
     def entropy_nats(self) -> float:
         """Differential entropy h(Z) = ln C - lam * E[cos Z]."""
         return self.log_normalizer() - self.lam * self.mean_cos()
+
+    def divergence_nats(self) -> float:
+        """ln(2*pi) - h(Z), the divergence from the uniform law on the
+        circle, without subtracting the two entropies."""
+        return self.lam * (self.mean_cos() - 1.0) - math.log1p(self._q)
 
     def pdf(self, z):
         return ((np.abs(z) <= math.pi)
@@ -85,7 +96,7 @@ def rdp_point(lam: float) -> FrontierPoint:
     if not 0.0 < lam <= LAMBDA_MAX:
         raise ValueError(f"lam must lie in (0, {LAMBDA_MAX:g}], got {lam}")
     law = VonMisesLikeLaw(lam)
-    rate = (LN_TWO_PI - law.entropy_nats()) / math.log(2.0)
+    rate = law.divergence_nats() / math.log(2.0)
     dist = 2.0 - 2.0 * law.mean_cos()
     # rate can round to a hair below zero in the lam -> 0 limit
     return FrontierPoint(max(rate, 0.0), dist, "quadrature", f"lambda={lam:g}")

@@ -106,8 +106,11 @@ def entropy_bits(probs) -> float:
 def plugin_entropy(counts) -> float:
     """Plug-in entropy of an array of counts, in bits.
 
-    No bias correction is applied; at the sample sizes used here (>= 1e6)
-    the bias is far below reporting precision.
+    No bias correction is applied.  The estimate falls short of the
+    entropy by about (K - 1) / (2 n ln 2) bits for K cells with mass and n
+    counts: 1.5e-4 bits per offset for gauss:0,1 delta=0.25 N=4 at 2^20
+    samples (55 codes and about 2^18 samples per offset), which shows in
+    the 4th decimal of the rate.
     """
     values = np.asarray(counts, dtype=float).ravel()
     if np.any(values < 0):

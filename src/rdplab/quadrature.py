@@ -1,7 +1,8 @@
 """Adaptive Simpson quadrature.
 
-Used wherever an integral must be pinned to a fixed absolute tolerance
-(density normalizers, differential entropies, convolved cell masses).
+Used wherever an integral must be pinned to a fixed absolute tolerance:
+the normalizer and mean cosine of the exponential-cosine law, and the
+dithered cell masses.
 """
 
 from __future__ import annotations

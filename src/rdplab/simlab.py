@@ -153,6 +153,8 @@ def sweep(base: ExperimentConfig, axis: str, values) -> list[dict]:
     """One run per value of a numeric parameter, rows ordered by value."""
     if axis not in _AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; use one of {_AXES}")
+    if len(values) == 0:
+        raise ValueError(f"no values to sweep {axis!r} over")
     field, parse, _ = CONFIG_KEYS[axis]
     rows = []
     for v in values:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdplab.circle import (FrontierPoint, one_shot_frontier,
-                           simulate_dithered_circle,
+from rdplab.circle import (MAX_FRONTIER_LEVELS, FrontierPoint,
+                           one_shot_frontier, simulate_dithered_circle,
                            simulate_staggered_circle, staggered_circle_rd,
                            two_cell_objective, two_cell_objective_prime,
                            verify_two_cell_optimality, wrap_angle)
@@ -82,6 +82,10 @@ def test_one_shot_frontier_points():
     assert points[1].distortion == pytest.approx(BASELINE_DITHERED, abs=1e-15)
     with pytest.raises(ValueError):
         one_shot_frontier(0)
+    # the cap is checked before any point is built
+    for l_max in (MAX_FRONTIER_LEVELS + 1, 10 ** 400):
+        with pytest.raises(ValueError, match=str(MAX_FRONTIER_LEVELS)):
+            one_shot_frontier(l_max)
 
 
 def test_every_extreme_point_is_a_hull_vertex():

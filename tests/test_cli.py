@@ -90,6 +90,32 @@ def test_rdp_frontier_rows(capsys):
     assert all(a > b for a, b in zip(dists, dists[1:]))
 
 
+def test_rdp_frontier_from_tiny_lambda(capsys):
+    # rates of order 1e-17 bits at lam = 1e-8 still increase strictly
+    code, out, err = run_cli(capsys, "rdp-frontier", "--lambda-min", "1e-8",
+                             "--lambda-max", "10000", "--points", "49",
+                             "--json")
+    assert code == 0, err
+    rates = [row["rate_bits"] for row in json.loads(out)]
+    assert len(rates) == 49 and rates[0] > 0.0
+    assert all(a < b for a, b in zip(rates, rates[1:]))
+
+
+def test_scalar_exact_literal_mode_rejects_an_empty_interval(capsys):
+    # on the aligned uniform grid the literal table's first code has an
+    # empty interval: both routes refuse it with the decoder's error
+    spec = ["--source", "uniform:0,1", "--delta", "0.25", "--offsets", "2",
+            "--origin", "0.125", "--literal-paper-indexing"]
+    errors = []
+    for argv in (["scalar-exact", *spec],
+                 ["scalar-simulate", *spec, "--samples", "1024"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1] == \
+        "rdplab: error: code -1 has a degenerate interval\n"
+
+
 def test_two_cell_row(capsys):
     code, out, _ = run_cli(capsys, "two-cell", "--r", "0.5", "--lambda", "10",
                            "--grid", "10001")
@@ -180,6 +206,8 @@ def test_out_of_range_scales_exit_one(capsys, argv):
 
 
 HUGE = str(10 ** 17)
+# an integer flag beyond the float range
+FAR = str(10 ** 400)
 
 
 @pytest.mark.parametrize("argv", [
@@ -190,9 +218,22 @@ HUGE = str(10 ** 17)
                   "0.25", "--samples", HUGE], id="scalar-samples"),
     pytest.param(["two-cell", "--r", "0.5", "--lambda", "1", "--grid", HUGE],
                  id="grid"),
+    pytest.param(["circle-closed-form", "--L", FAR], id="closed-form-L-far"),
+    pytest.param(["circle-simulate", "--L", FAR, "--samples", "10"],
+                 id="L-far"),
+    pytest.param(["scalar-simulate", "--source", "uniform:0,1", "--delta",
+                  "0.25", "--offsets", FAR, "--samples", "10"],
+                 id="offsets-far"),
+    pytest.param(["rdp-frontier", "--points", FAR], id="points-far"),
+    pytest.param(["two-cell", "--r", "0.5", "--lambda", "1", "--grid", FAR],
+                 id="grid-far"),
+    # one-shot-frontier checks its cap before it builds a point
+    pytest.param(["one-shot-frontier", "--Lmax", FAR], id="Lmax-far"),
+    pytest.param(["one-shot-frontier", "--Lmax", "65537"], id="Lmax-cap"),
 ])
 def test_oversized_allocation_exits_one(capsys, argv):
-    # 10**17 elements exceed any address space, so numpy refuses at once
+    # 10**17 elements exceed any address space, so numpy refuses at once;
+    # a 401-digit integer does not convert to a float
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("rdplab: error:") and "Traceback" not in err
@@ -226,6 +267,17 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert len(lines) == 4
     rates = [float(l.split(",")[2]) for l in lines[1:]]
     assert rates == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("values", ["", ","])
+def test_sweep_rejects_empty_values(tmp_path, capsys, values):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("scheme = circle-dithered\nlevels = 2\nsamples = 1024\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                             "--axis", "levels", "--values", values)
+    assert code == 1 and out == ""
+    assert err.startswith("rdplab: error:") and "--values" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_rejects_misspelt_boolean(tmp_path, capsys):

@@ -66,6 +66,16 @@ def test_rdp_point_small_lambda_endpoint():
     assert abs(p.distortion - 2.0) < 1e-6
 
 
+def test_small_lambda_rate_matches_series():
+    # the rate is the divergence from the uniform law, lam^2/(4 ln 2) -
+    # 3 lam^4/(64 ln 2) + O(lam^6) bits, computed without subtracting two
+    # entropies near ln(2 pi)
+    for lam in np.geomspace(1e-8, 1e-3, 21):
+        series = (lam ** 2 / 4.0 - 3.0 * lam ** 4 / 64.0) / math.log(2.0)
+        rate = rdp_point(lam).rate_bits
+        assert rate == pytest.approx(series, rel=0.03, abs=0.0), lam
+
+
 def test_rdp_point_at_lambda_two():
     # frozen against the Bessel identities: E[cos Z] = I1(2)/I0(2),
     # h = ln(2*pi*I0(2)) - 2*E[cos Z]

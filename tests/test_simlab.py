@@ -75,6 +75,12 @@ def test_sweep_rejects_unknown_axis():
         sweep(base, "shape", [1, 2])
 
 
+def test_sweep_rejects_empty_values():
+    base = ExperimentConfig(scheme="circle-staggered")
+    with pytest.raises(ValueError, match="no values"):
+        sweep(base, "levels", [])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(scheme="nope")

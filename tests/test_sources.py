@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -46,7 +47,7 @@ def test_quantile_values():
     assert GaussianSource(0, 1).quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
 
 
-def mpmath_gauss_quantile(mpmath, u):
+def mpmath_gauss_quantile(u):
     """Independent oracle: bisection for Phi(z) = u in 40-digit arithmetic."""
     with mpmath.workdps(40):
         target = mpmath.mpf(float(u))
@@ -73,10 +74,9 @@ QUANTILE_RANGES = {
 
 
 def test_quantile_matches_mpmath_root():
-    mpmath = pytest.importorskip("mpmath")
     src = GaussianSource(0.0, 1.0)
     for part, u in QUANTILE_RANGES.items():
-        exact = np.array([mpmath_gauss_quantile(mpmath, v) for v in u])
+        exact = np.array([mpmath_gauss_quantile(v) for v in u])
         err = np.max(np.abs(src.quantile(u) - exact))
         assert err <= 1e-14, f"{part}: {err:.3e}"
 
@@ -201,7 +201,7 @@ def test_truncated_moments_against_scipy():
         np.testing.assert_allclose(v, [r.var() for r in ref], rtol=1e-12)
 
 
-def mpmath_truncnorm_moments(mpmath, a, b):
+def mpmath_truncnorm_moments(a, b):
     """Mean and variance of N(0, 1) on [a, b] in 60-digit arithmetic,
     reflected to the lower half so the mass never cancels against 1."""
     with mpmath.workdps(60):
@@ -217,7 +217,6 @@ def mpmath_truncnorm_moments(mpmath, a, b):
 def test_truncated_variance_on_narrow_cells_matches_mpmath():
     # the closed form 1 + (a phi(a) - b phi(b))/Z - m^2 cancels from O(1)
     # down to width^2/12; the library must keep the variance's digits
-    mpmath = pytest.importorskip("mpmath")
     src = GaussianSource(0.0, 1.0)
     centres = [0.0, 0.3, -0.3, 1.7, -1.7, 3.0, -3.0, 5.5, -5.5, 8.0, -8.0]
     for width, tol in [(1e-6, 1e-12), (1e-5, 1e-12), (1e-4, 1e-12),
@@ -226,7 +225,7 @@ def test_truncated_variance_on_narrow_cells_matches_mpmath():
         b = np.array([c + width / 2 for c in centres])
         m, v = src.mean_var_on(a, b)
         for k in range(a.size):
-            m_ref, v_ref = mpmath_truncnorm_moments(mpmath, a[k], b[k])
+            m_ref, v_ref = mpmath_truncnorm_moments(a[k], b[k])
             assert abs(float((v[k] - v_ref) / v_ref)) <= tol, (width, a[k])
             assert abs(float(m[k] - m_ref)) <= 1e-14, (width, a[k])
 

@@ -296,6 +296,68 @@ def test_one_pass_table_keeps_its_faults():
     assert "a table takes at most" in msg
 
 
+@st.composite
+def table_specs(draw):
+    """(law, delta, N, origin, indexing) with delta from 1e-3 to 10
+    support widths."""
+    law = draw(st.sampled_from(["uniform", "gauss", "circle"]))
+    if law == "uniform":
+        lo = draw(st.floats(-5.0, 5.0))
+        source = UniformSource(lo, lo + draw(st.floats(0.01, 100.0)))
+    elif law == "gauss":
+        source = GaussianSource(draw(st.floats(-5.0, 5.0)),
+                                draw(st.floats(0.01, 100.0)))
+    else:
+        source = CircleSource()
+    lo, hi = source.effective_support()
+    delta = (hi - lo) * 10.0 ** draw(st.floats(-3.0, 1.0))
+    origin = draw(st.one_of(st.just(0.0), st.just(lo + delta / 2.0),
+                            st.floats(lo - delta, hi + delta)))
+    return StaggeredSpec(source, delta, draw(st.integers(1, 8)), origin,
+                         draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=table_specs())
+def test_table_properties(spec):
+    try:
+        table = build_boundaries(spec)
+    except RuntimeError as exc:
+        # the fine-grid fault of the end codes' left-out tail mass
+        assert not spec.literal_paper_indexing
+        assert str(exc).startswith("mass identity violated")
+        return
+    lo, hi = spec.source.effective_support()
+    # the table alone decides which codes exist: one run, each with mass
+    codes = table.codes
+    assert np.array_equal(codes, np.arange(codes[0], codes[0] + codes.size))
+    assert np.all(table.prob > ACTIVE_EPS)
+    # the intervals tile the support
+    assert table.a[0] == lo and table.b[-1] == hi
+    assert np.array_equal(table.b[:-1], table.a[1:])
+    empty = table.b <= table.a
+    if not spec.literal_paper_indexing:
+        assert not np.any(empty)
+    # encode then decode lands in the code's interval
+    rng = SampleStreams(3).block(0)
+    x = spec.source.sample(rng, 200)
+    n = rng.integers(0, spec.n_offsets, 200)
+    j = spec.n_offsets * encode(spec, x, n) + n
+    k = j - table.j_first
+    ok = table.fb[k] - table.fa[k] >= DEGENERATE_MASS
+    assert spec.literal_paper_indexing or np.all(ok)
+    xhat = decode(table, j[ok], rng)
+    assert np.all((xhat >= table.a[k[ok]]) & (xhat <= table.b[k[ok]]))
+    # the exact route refuses a literal table exactly when an interval
+    # is empty
+    if spec.literal_paper_indexing and spec.delta >= 1e-2 * (hi - lo):
+        if np.any(empty):
+            with pytest.raises(InactiveCodeError, match="degenerate"):
+                exact_code_distribution(spec)
+        else:
+            exact_code_distribution(spec)
+
+
 def test_table_reads_the_cdf_twice(monkeypatch):
     calls = []
     cdf = GaussianSource.cdf
@@ -356,6 +418,17 @@ def test_literal_mode_edge_code_is_degenerate():
     rng = SampleStreams(2).block(0)
     with pytest.raises(InactiveCodeError, match="degenerate"):
         decode(table, np.array([table.j_first]), rng)
+
+
+def test_literal_mode_exact_rejects_an_empty_interval():
+    # the aligned literal table starts with codes whose intervals are
+    # empty; the exact route refuses the first one, as the decoder does,
+    # rather than summing the distortion over the rest of the mass
+    table = build_boundaries(aligned_spec(2, literal=True))
+    assert table.b[0] == table.a[0] == 0.0
+    with pytest.raises(InactiveCodeError,
+                       match=f"code {table.j_first} has a degenerate"):
+        exact_code_distribution(aligned_spec(2, literal=True))
 
 
 def test_decode_matches_code_array_draws():
