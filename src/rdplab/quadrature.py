@@ -1,9 +1,7 @@
-"""Adaptive Simpson quadrature.
-
-Used wherever an integral must be pinned to a fixed absolute tolerance:
-the normalizer and mean cosine of the exponential-cosine law, and the
-dithered cell masses.
-"""
+"""Adaptive Simpson quadrature, with no library caller since the frontier
+takes the periodic trapezoid rule and dithered cell masses a closed form.
+It stays while benchmarks/tracing.py patches ``stagger.adaptive_simpson``
+and ``frontier.adaptive_simpson`` by name (ROADMAP item 1)."""
 
 from __future__ import annotations
 

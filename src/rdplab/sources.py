@@ -11,7 +11,8 @@ these continuous strictly-increasing CDFs that is the ordinary inverse.
 The Gaussian CDF and quantile are scipy's ``ndtr`` and ``ndtri``: ndtr
 keeps full relative accuracy in the left tail, and ndtri is within 1e-14
 absolute of the exact root for every double u in (0, 1).  ``mean_var_on``
-works elementwise on arrays of interval ends.
+works elementwise on arrays of interval ends, and ``mean_cdf_from_lo`` on
+their offsets from the low end of the support, which keep their digits.
 
 Every law's ``pdf``, ``cdf`` and ``quantile`` compute on the float or
 array they are given and return numpy's result: a scalar gives a scalar
@@ -21,7 +22,7 @@ array they are given and return numpy's result: a scalar gives a scalar
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -85,6 +86,14 @@ class UniformSource:
         a = np.maximum(a, self.lo)
         b = np.minimum(b, self.hi)
         return 0.5 * (a + b), (b - a) ** 2 / 12.0
+
+    def mean_cdf_from_lo(self, t0, t1):
+        """Mean of F on [lo + t0, lo + t1]: a piecewise quadratic over
+        s1 - s0 in units of the support, exactly (s0 + s1)/2 inside it."""
+        s0, s1 = t0 / (self.hi - self.lo), t1 / (self.hi - self.lo)
+        c0, c1 = np.clip(s0, 0.0, 1.0), np.clip(s1, 0.0, 1.0)
+        above = np.maximum(s1 - np.maximum(s0, 1.0), 0.0)
+        return (0.5 * (c1 - c0) * (c1 + c0) + above) / (s1 - s0)
 
 
 @dataclass(frozen=True)
@@ -151,6 +160,18 @@ class GaussianSource:
             m[narrow], v[narrow] = _centred_moments(al[narrow], be[narrow])
         return self.mu + self.sigma * m, self.sigma ** 2 * v
 
+    def mean_cdf_from_lo(self, t0, t1):
+        """Mean of F on [lo + t0, lo + t1], (G(z1) - G(z0))/(z1 - z0) with
+        G(z) = z*Phi(z) + phi(z) in standardized units; above the mean, where
+        G(z) ~ z cancels, 1 minus the mean on the reflected interval."""
+        z0, z1 = (t / self.sigma - GAUSS_SUPPORT_SIGMAS for t in (t0, t1))
+        up = z0 > 0
+        lo, hi = np.where(up, -z1, z0), np.where(up, -z0, z1)
+        g_lo, g_hi = (z * special.ndtr(z) + np.exp(-0.5 * z * z)
+                      / math.sqrt(math.tau) for z in (lo, hi))
+        m = (g_hi - g_lo) / (hi - lo)
+        return np.where(up, 1.0 - m, m)
+
 
 def _centred_moments(al, be):
     """Mean and variance of N(0, 1) restricted to [al, be], from the Taylor
@@ -176,32 +197,17 @@ def _centred_moments(al, be):
 
 
 @dataclass(frozen=True)
-class CircleSource:
-    """Uniform angle on (-pi, pi] (the unit-circle source seen as a scalar)."""
+class CircleSource(UniformSource):
+    """Uniform angle on (-pi, pi] (the unit-circle source seen as a scalar);
+    ``cdf``, ``quantile`` and ``sample`` are its own entries only because
+    benchmarks/tracing.py patches them per class (ROADMAP item 1)."""
+
+    lo: float = field(default=-math.pi, init=False)
+    hi: float = field(default=math.pi, init=False)
+    cdf, quantile, sample = UniformSource.cdf, UniformSource.quantile, UniformSource.sample
 
     def spec_string(self) -> str:
         return "circle"
-
-    def effective_support(self):
-        return -math.pi, math.pi
-
-    def pdf(self, x):
-        return ((x >= -math.pi) & (x <= math.pi)) / math.tau
-
-    def cdf(self, x):
-        return np.clip((x + math.pi) / math.tau, 0.0, 1.0)
-
-    def quantile(self, u):
-        _check_unit_interval(u)
-        return -math.pi + u * math.tau
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return -math.pi + rng.random(size) * math.tau
-
-    def mean_var_on(self, a, b):
-        a = np.maximum(a, -math.pi)
-        b = np.minimum(b, math.pi)
-        return 0.5 * (a + b), (b - a) ** 2 / 12.0
 
 
 SourceModel = UniformSource | GaussianSource | CircleSource

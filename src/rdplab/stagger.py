@@ -34,7 +34,8 @@ import numpy as np
 
 from .metrics import (ExperimentResult, avg_conditional_entropy, entropy_bits,
                       ks_statistic, plugin_entropy, simulate_blocks)
-from .quadrature import adaptive_simpson
+# kept for benchmarks/tracing.py, which patches it (ROADMAP item 1)
+from .quadrature import adaptive_simpson  # noqa: F401
 from .rng import SampleStreams
 from .sources import DEGENERATE_MASS, SourceModel, draw_truncated
 
@@ -60,9 +61,6 @@ MAX_SUPPORT_WIDTH = 1e70
 # widths.  Beyond it, cell edges standardized by a narrow Gaussian's sigma
 # overflow.
 MAX_DELTA_WIDTHS = 1e100
-
-# Absolute tolerance of the adaptive Simpson rule per dithered cell mass.
-DITHER_QUAD_TOL = 1e-12
 
 
 class InactiveCodeError(ValueError):
@@ -256,27 +254,25 @@ class DitheredReference:
 
 
 def dithered_reference(source: SourceModel, delta: float) -> DitheredReference:
-    """Exact cell masses of the index f(X + Z) under uniform dither Z."""
+    """Exact cell masses of the index f(X + Z) under uniform dither Z: the
+    index lies below the cell with left edge e with probability E[F(e - Z)],
+    the mean of F on [e - delta/2, e + delta/2], so the masses telescope."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    try:
-        mse = delta ** 2 / 12.0
-    except OverflowError:
-        mse = math.inf
+    mse = delta * delta / 12.0
     if not math.isfinite(mse):
         raise ValueError(f"delta {delta:g} gives a dithered distortion "
                          f"delta^2/12 beyond the float range")
     lo, hi = source.effective_support()
-    n_raw = int(math.ceil((hi - lo + delta) / delta - 1e-9))
-    edges = (lo - delta / 2.0) + delta * np.arange(n_raw + 1)
-
-    def density(t):
-        return (source.cdf(t + delta / 2.0) - source.cdf(t - delta / 2.0)) / delta
-
-    masses = np.array([adaptive_simpson(density, e0, e1, tol=DITHER_QUAD_TOL)
-                       for e0, e1 in zip(edges[:-1], edges[1:])])
-    keep = masses > ACTIVE_EPS
-    masses = masses[keep]
+    cells = (hi - lo + delta) / delta - 1e-9
+    if not (cells <= MAX_TABLE_CODES and delta <= MAX_DELTA_WIDTHS * (hi - lo)):
+        raise ValueError(f"delta {delta:g} gives {cells:.3g} dithered cells; "
+                         f"at most {MAX_TABLE_CODES}, within "
+                         f"{MAX_DELTA_WIDTHS:g} support widths")
+    # cell k has its left edge at lo + delta*(k - 1/2)
+    t = delta * np.arange(-1, math.ceil(cells) + 1)
+    masses = np.diff(source.mean_cdf_from_lo(t[:-1], t[1:]))
+    masses = masses[masses > ACTIVE_EPS]
     n_cells = int(masses.size)
     return DitheredReference(
         masses=masses,
@@ -309,13 +305,14 @@ def exact_code_distribution(spec: StaggeredSpec) -> CodeDistribution:
     input is the source restricted to the cell and the reconstruction is an
     independent draw from the source restricted to [a(j), b(j)], so each
     code contributes its two conditional variances plus the squared gap of
-    the conditional means.  A table code with an empty interval (literal
-    mode) raises the decoder's ``InactiveCodeError``.
+    the conditional means.  A table code whose interval holds less than
+    DEGENERATE_MASS (literal mode) raises the decoder's error.
     """
     table = build_boundaries(spec)
     n_off = spec.n_offsets
     codes, prob = table.codes, table.prob
-    empty = table.b <= table.a
+    # the decoder's own test, so both routes refuse the same codes
+    empty = table.fb - table.fa < DEGENERATE_MASS
     if np.any(empty):
         raise InactiveCodeError(
             f"code {int(codes[empty][0])} has a degenerate interval")

@@ -3,9 +3,13 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rdplab.cli import CSV_HEADER, cli_dispatch
+from rdplab.sources import GaussianSource
+from rdplab.stagger import (InactiveCodeError, StaggeredSpec, build_boundaries,
+                            decode)
 
 
 def run_cli(capsys, *argv):
@@ -58,7 +62,8 @@ def test_scalar_exact_rates(capsys):
 
 
 def test_scalar_exact_labels_literal_mode_like_simulate(capsys):
-    spec = ["--source", "gauss:0,1", "--delta", "0.5", "--offsets", "2",
+    # one of the few literal specs without a degenerate interval
+    spec = ["--source", "gauss:0,1", "--delta", "0.25", "--origin", "0.1",
             "--literal-paper-indexing"]
     code, out, _ = run_cli(capsys, "scalar-exact", *spec)
     assert code == 0
@@ -114,6 +119,24 @@ def test_scalar_exact_literal_mode_rejects_an_empty_interval(capsys):
         errors.append(err)
     assert errors[0] == errors[1] == \
         "rdplab: error: code -1 has a degenerate interval\n"
+
+
+def test_scalar_exact_literal_mode_rejects_a_degenerate_interval(capsys):
+    # codes -30 .. -23 of this literal table have intervals holding less
+    # than DEGENERATE_MASS but more than nothing; the exact route refuses
+    # the first with the decoder's own error instead of summing over them
+    spec = ["--source", "gauss:0,1", "--delta", "2", "--offsets", "8",
+            "--literal-paper-indexing"]
+    code, out, err = run_cli(capsys, "scalar-exact", *spec)
+    assert code == 1 and out == ""
+    table = build_boundaries(StaggeredSpec(GaussianSource(0.0, 1.0), 2.0, 8,
+                                           literal_paper_indexing=True))
+    k = -30 - table.j_first
+    assert table.b[k] > table.a[k] and table.fb[k] - table.fa[k] < 1e-12
+    with pytest.raises(InactiveCodeError) as exc:
+        decode(table, np.array([-30]), np.random.default_rng(0))
+    assert err == f"rdplab: error: {exc.value}\n" \
+        == "rdplab: error: code -30 has a degenerate interval\n"
 
 
 def test_two_cell_row(capsys):
@@ -205,38 +228,56 @@ def test_out_of_range_scales_exit_one(capsys, argv):
     assert err.startswith("rdplab: error:") and "Traceback" not in err
 
 
-HUGE = str(10 ** 17)
-# an integer flag beyond the float range
+# the largest integer flag accepted, and one beyond the float range
+HUGE = str(2 ** 53)
 FAR = str(10 ** 400)
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["circle-simulate", "--L", HUGE, "--samples", "10"], id="L"),
-    pytest.param(["circle-simulate", "--L", "2", "--samples", HUGE],
+def far(flag):
+    return f"rdplab: error: {flag} must lie within +/-2^53, got a 401-digit integer\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["circle-simulate", "--L", HUGE, "--samples", "10"], None,
+                 id="L"),
+    pytest.param(["circle-simulate", "--L", "2", "--samples", HUGE], None,
                  id="circle-samples"),
     pytest.param(["scalar-simulate", "--source", "uniform:0,1", "--delta",
-                  "0.25", "--samples", HUGE], id="scalar-samples"),
+                  "0.25", "--samples", HUGE], None, id="scalar-samples"),
     pytest.param(["two-cell", "--r", "0.5", "--lambda", "1", "--grid", HUGE],
-                 id="grid"),
-    pytest.param(["circle-closed-form", "--L", FAR], id="closed-form-L-far"),
+                 None, id="grid"),
+    pytest.param(["circle-closed-form", "--L", FAR], far("--L"),
+                 id="closed-form-L-far"),
+    pytest.param(["circle-closed-form", "--L", "2", "--N", FAR], far("--N"),
+                 id="closed-form-N-far"),
     pytest.param(["circle-simulate", "--L", FAR, "--samples", "10"],
-                 id="L-far"),
+                 far("--L"), id="L-far"),
     pytest.param(["scalar-simulate", "--source", "uniform:0,1", "--delta",
                   "0.25", "--offsets", FAR, "--samples", "10"],
-                 id="offsets-far"),
-    pytest.param(["rdp-frontier", "--points", FAR], id="points-far"),
+                 far("--offsets"), id="offsets-far"),
+    pytest.param(["rdp-frontier", "--points", FAR], far("--points"),
+                 id="points-far"),
     pytest.param(["two-cell", "--r", "0.5", "--lambda", "1", "--grid", FAR],
-                 id="grid-far"),
+                 far("--grid"), id="grid-far"),
+    pytest.param(["one-shot-frontier", "--Lmax", FAR], far("--Lmax"),
+                 id="Lmax-far"),
     # one-shot-frontier checks its cap before it builds a point
-    pytest.param(["one-shot-frontier", "--Lmax", FAR], id="Lmax-far"),
-    pytest.param(["one-shot-frontier", "--Lmax", "65537"], id="Lmax-cap"),
+    pytest.param(["one-shot-frontier", "--Lmax", "65537"],
+                 "rdplab: error: l_max must lie in [1, 65536]\n", id="Lmax-cap"),
 ])
-def test_oversized_allocation_exits_one(capsys, argv):
-    # 10**17 elements exceed any address space, so numpy refuses at once;
-    # a 401-digit integer does not convert to a float
+def test_oversized_allocation_exits_one(capsys, argv, message):
+    # 2^53 elements exceed any address space, so numpy refuses at once;
+    # an integer flag beyond 2^53 is refused by name before any use
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("rdplab: error:") and "Traceback" not in err
+    assert message is None or err == message
+
+
+def test_seed_takes_any_integer(capsys):
+    code, _, err = run_cli(capsys, "circle-simulate", "--L", "2",
+                           "--samples", "10", "--seed", FAR)
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("bounds", [["--lambda-max", "inf"],

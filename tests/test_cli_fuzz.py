@@ -4,10 +4,7 @@ prints a traceback.
 Numbers come from a fixed set of edge values, sources include malformed
 specs, and sizes are capped so each example runs well under 1 s:
 samples <= 2048 (a 2048-sample run takes about 5 ms), grid <= 1000,
-points <= 5 and Lmax <= 1024 (each about 20 ms or less).  ``scalar-exact``
-with delta below 1e-3 of the support width is left out: its dithered
-reference runs one adaptive Simpson rule per cell, about 0.08 s per 1e3
-cells, so a finer grid would take seconds to minutes per example.
+points <= 5 and Lmax <= 1024 (each about 20 ms or less).
 """
 
 import contextlib
@@ -16,18 +13,16 @@ import io
 import json
 import math
 
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdplab.cli import CSV_HEADER, cli_dispatch
 from rdplab.simlab import SCHEMES
-from rdplab.sources import parse_source
 
 NUMBERS = ["0", "1", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "1e160",
            "1e-9", "1e8"]
 NUMERIC_COLUMNS = ("rate_bits", "distortion", "perception_ks", "seed",
                    "n_samples")
-EXACT_MIN_DELTA = 1e-3      # of the support width
 
 
 def ints(limit):
@@ -56,19 +51,6 @@ def scalar_flags(draw):
     if draw(st.booleans()):
         flags.append("--literal-paper-indexing")
     return flags
-
-
-def slow_exact(argv) -> bool:
-    """True for a ``scalar-exact`` run whose delta lies below
-    EXACT_MIN_DELTA of the support width."""
-    if argv[0] != "scalar-exact":
-        return False
-    try:
-        lo, hi = parse_source(argv[argv.index("--source") + 1]).effective_support()
-        delta = float(argv[argv.index("--delta") + 1])
-    except ValueError:
-        return False
-    return 0.0 < delta < EXACT_MIN_DELTA * (hi - lo)
 
 
 @st.composite
@@ -146,7 +128,6 @@ def assert_finite_rows(text: str, as_json: bool):
 @given(argv=argvs())
 @example(argv=["scalar-exact", "--source", "gauss:0,1", "--delta", "1e160"])
 def test_cli_never_prints_a_traceback(tmp_path_factory, argv):
-    assume(not slow_exact(argv))
     if argv[0] == "sweep":
         cfg = tmp_path_factory.mktemp("fuzz") / "run.cfg"
         cfg.write_text(argv[2])

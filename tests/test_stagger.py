@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -335,9 +337,9 @@ def test_table_properties(spec):
     # the intervals tile the support
     assert table.a[0] == lo and table.b[-1] == hi
     assert np.array_equal(table.b[:-1], table.a[1:])
-    empty = table.b <= table.a
+    degenerate = table.fb - table.fa < DEGENERATE_MASS
     if not spec.literal_paper_indexing:
-        assert not np.any(empty)
+        assert not np.any(degenerate)
     # encode then decode lands in the code's interval
     rng = SampleStreams(3).block(0)
     x = spec.source.sample(rng, 200)
@@ -349,9 +351,9 @@ def test_table_properties(spec):
     xhat = decode(table, j[ok], rng)
     assert np.all((xhat >= table.a[k[ok]]) & (xhat <= table.b[k[ok]]))
     # the exact route refuses a literal table exactly when an interval
-    # is empty
+    # holds less than DEGENERATE_MASS, as the decoder does
     if spec.literal_paper_indexing and spec.delta >= 1e-2 * (hi - lo):
-        if np.any(empty):
+        if np.any(degenerate):
             with pytest.raises(InactiveCodeError, match="degenerate"):
                 exact_code_distribution(spec)
         else:
@@ -473,6 +475,66 @@ def test_exact_dithered_reference_uniform():
         [0.125, 0.25, 0.25, 0.25, 0.125], abs=1e-9)
     assert dith.entropy_bits == pytest.approx(2.25, abs=1e-9)
     assert dith.mse == pytest.approx(0.25 ** 2 / 12.0)
+
+
+def quad_dithered_masses(source, delta):
+    """Per-cell masses of the dithered index from first principles: the
+    density (F(t + delta/2) - F(t - delta/2))/delta of X + Z integrated
+    over each cell by scipy.integrate.quad, with the kinks of the uniform
+    laws' densities as break points."""
+    lo, hi = source.effective_support()
+    n = math.ceil((hi - lo + delta) / delta - 1e-9)
+    edges = lo - delta / 2.0 + delta * np.arange(n + 1)
+    kinks = np.array([lo, hi])[:, None] + np.array([-delta, delta]) / 2.0
+
+    def density(t):
+        return (source.cdf(t + delta / 2.0) - source.cdf(t - delta / 2.0)) / delta
+
+    masses = []
+    for e0, e1 in zip(edges[:-1], edges[1:]):
+        inner = kinks[(kinks > e0) & (kinks < e1)]
+        masses.append(scipy.integrate.quad(
+            density, e0, e1, epsabs=1e-15, epsrel=1e-13, limit=200,
+            points=inner if inner.size else None)[0])
+    return np.array(masses)
+
+
+@pytest.mark.parametrize("source", [GAUSS, GaussianSource(2.0, 3.0), UNIT,
+                                    CircleSource()],
+                         ids=["gauss:0,1", "gauss:2,3", "uniform:0,1", "circle"])
+def test_dithered_masses_match_per_cell_quadrature(source):
+    lo, hi = source.effective_support()
+    for widths in (1e-3, 1e-2, 0.1, 0.37, 1.0, 5.0):
+        delta = widths * (hi - lo)
+        ref = quad_dithered_masses(source, delta)
+        ref = ref[ref > ACTIVE_EPS]
+        dith = dithered_reference(source, delta)
+        assert dith.n_cells == ref.size, widths
+        assert np.max(np.abs(dith.masses - ref)) <= 1e-12, widths
+
+
+def test_dithered_masses_of_a_narrow_off_centre_gaussian():
+    # measured from the support's low end, the cells of gauss:-1,1e-9 at
+    # delta = sigma are those of gauss:0,1 at delta = 1; in absolute
+    # coordinates each edge would carry rounding of ulp(1)/sigma = 2e-7
+    start = time.perf_counter()
+    narrow = dithered_reference(GaussianSource(-1.0, 1e-9), 1e-9)
+    elapsed = time.perf_counter() - start
+    unit = dithered_reference(GAUSS, 1.0)
+    assert narrow.n_cells == unit.n_cells
+    assert np.max(np.abs(narrow.masses - unit.masses)) <= 1e-12
+    assert elapsed < 0.1
+
+
+def test_dithered_reference_cell_cap():
+    # 1e9 cells are refused before any array is sized; the cap itself builds
+    with pytest.raises(ValueError, match="dithered cells"):
+        dithered_reference(UNIT, 1e-9)
+    delta = 1.0 / (MAX_TABLE_CODES - 1)
+    assert dithered_reference(UNIT, delta).n_cells == MAX_TABLE_CODES
+    # standardized edges of a narrow Gaussian would overflow
+    with pytest.raises(ValueError, match="support widths"):
+        dithered_reference(GaussianSource(0.0, 1e-300), 1e-150)
 
 
 def test_exact_mse_matches_independent_oracle():
