@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import (ExperimentResult, ks_statistic, plugin_entropy,
-                      simulate_blocks)
+                      simulate_chunks)
 from .rng import SampleStreams
 from .sources import CircleSource
 
@@ -130,17 +130,20 @@ def _simulate_circle(levels, samples, streams, draw_offset, noise_half,
     """
     cell = math.tau / levels
 
-    def step(rng, size):
+    def draw(rng, size):
         theta = -math.pi + rng.random(size) * math.tau
         offset = draw_offset(rng, size)
+        return (theta, offset, rng.random(size)) if noise_half else (theta, offset)
+
+    def step(theta, offset, *noise):
         idx = np.floor((theta - offset) / cell + 0.5).astype(np.int64)
         theta_hat = offset + idx * cell
         if noise_half:
-            theta_hat = theta_hat + (rng.random(size) * 2.0 - 1.0) * noise_half
+            theta_hat = theta_hat + (noise[0] * 2.0 - 1.0) * noise_half
         theta_hat = wrap_angle(theta_hat)
         return 2.0 - 2.0 * np.cos(theta - theta_hat), idx % levels, theta_hat
 
-    dist, counts, recon = simulate_blocks(streams, samples, step, levels)
+    dist, counts, recon = simulate_chunks(streams, samples, draw, step, levels)
     index_entropy = plugin_entropy(counts)
     return ExperimentResult(
         rate_bits=index_entropy if rate_bits is None else rate_bits,

@@ -136,9 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> list[dict]:
     for dest, value in vars(args).items():   # counts, exact as doubles
-        if type(value) is int and dest != "seed" and abs(value) > 2 ** 53:
-            raise ValueError(f"--{dest} must lie within +/-2^53, got a "
-                             f"{len(str(abs(value)))}-digit integer")
+        if type(value) is int and dest != "seed":
+            try:
+                simlab.parse_count(value)
+            except ValueError as exc:
+                raise ValueError(f"--{dest} {exc}") from None
     cmd = args.command
     if cmd == "circle-closed-form":
         return [_point_row("circle-staggered",

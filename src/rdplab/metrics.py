@@ -1,9 +1,12 @@
-"""Shared estimators and the Monte Carlo block loop.
+"""Shared estimators and the Monte Carlo engine.
 
 Distortion moments (:class:`RunningMoments`), the entropy of a probability
 vector and its plug-in form on count tables, the KS perception statistic
-with its acceptance threshold, and :func:`simulate_blocks`, the one loop
-over sample blocks that every simulator runs.
+with its acceptance threshold, and :func:`simulate_chunks`, the one engine
+every simulator runs: each 1024-sample block draws from its own substream
+into chunk arrays, and the simulator's arithmetic, its guards and the
+moment updates run once per chunk of CHUNK_BLOCKS blocks.  Moments are
+still merged block by block, so no chunk length changes a result.
 """
 
 from __future__ import annotations
@@ -15,6 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import BLOCK
+
+# Blocks per chunk of the Monte Carlo engine.  Timing the circle step on
+# 2^20 samples (2-core box), chunks of 16 to 64 blocks ran 1.6x faster
+# than single blocks, and 256 blocks slower again; a float chunk array of
+# 64 blocks is 0.5 MB.
+CHUNK_BLOCKS = 64
 
 # Asymptotic Kolmogorov-Smirnov critical coefficient at alpha = 0.01.
 KS_COEFF_01 = 1.628
@@ -39,14 +48,23 @@ class RunningMoments:
         self.mean = 0.0
         self.m2 = 0.0
 
-    def update(self, values) -> None:
+    def update(self, values, batch: int | None = None) -> None:
+        """Merge ``values`` in order as consecutive batches of ``batch``
+        values (the last one may be shorter; one batch by default), with
+        the bits of one ``update`` per batch."""
         values = np.asarray(values, dtype=float).ravel()
         if values.size == 0:
             return
-        cnt = values.size
-        mu = float(values.mean())
-        m2 = float(((values - mu) ** 2).sum())
-        self._combine(cnt, mu, m2)
+        batch = batch or values.size
+        full = values.size - values.size % batch
+        for rows in (values[:full].reshape(-1, batch),
+                     values[full:].reshape(1, -1)):
+            if rows.size == 0:
+                continue
+            mu = rows.mean(axis=1)
+            m2 = ((rows - mu[:, None]) ** 2).sum(axis=1)
+            for m, s in zip(mu.tolist(), m2.tolist()):
+                self._combine(rows.shape[1], m, s)
 
     def merge(self, other: "RunningMoments") -> None:
         self._combine(other.n, other.mean, other.m2)
@@ -73,23 +91,44 @@ class RunningMoments:
         return 3.0 * math.sqrt(self.variance()) / math.sqrt(self.n)
 
 
-def simulate_blocks(streams, samples: int, step, n_bins: int):
+def simulate_chunks(streams, samples: int, draw, step, n_bins: int):
     """Run one Monte Carlo simulation over the sample blocks of ``streams``.
 
-    ``step(rng, size)`` simulates one block and returns ``(err2, bins,
-    recon)``: per-sample squared errors, integer bins in [0, n_bins) and
-    reconstructions.  Blocks run in block order, so the result depends only
-    on the seed.  Returns the distortion moments, the bin counts and the
-    reconstructions of all samples in sample order.
+    ``draw(rng, size)`` returns one block's random inputs, a tuple of
+    arrays drawn from the block's own substream; blocks are copied in
+    block order into chunk arrays of CHUNK_BLOCKS blocks.  ``step(*chunk)``
+    simulates a chunk and returns ``(err2, bins, recon)``: per-sample
+    squared errors, integer bins in [0, n_bins) and reconstructions.  A
+    step is a pure function of its draws, so a chunk that raises is
+    replayed block by block and raises what its first faulty block raises.
+    Returns the distortion moments (merged block by block), the bin counts
+    and the reconstructions of all samples in sample order.
     """
+    chunk = CHUNK_BLOCKS * BLOCK
     dist = RunningMoments()
     counts = np.zeros(n_bins, dtype=np.int64)
     recon = np.empty(samples)
+    bufs = None
     for k, size, rng in streams.iter_blocks(samples):
-        err2, bins, xhat = step(rng, size)
-        dist.update(err2)
+        parts = draw(rng, size)
+        if bufs is None:
+            bufs = [np.empty(min(chunk, samples), p.dtype) for p in parts]
+        at = k * BLOCK % chunk              # the block's place in its chunk
+        for buf, part in zip(bufs, parts):
+            buf[at:at + size] = part
+        filled, drawn = at + size, k * BLOCK + size
+        if filled < chunk and drawn < samples:
+            continue
+        views = [buf[:filled] for buf in bufs]
+        try:
+            err2, bins, xhat = step(*views)
+        except ValueError:
+            for b in range(0, filled, BLOCK):
+                step(*(v[b:b + BLOCK] for v in views))
+            raise
+        dist.update(err2, BLOCK)
         counts += np.bincount(bins, minlength=n_bins)
-        recon[k * BLOCK:k * BLOCK + size] = xhat
+        recon[drawn - filled:drawn] = xhat
     return dist, counts, recon
 
 
@@ -131,14 +170,18 @@ def avg_conditional_entropy(per_group_counts: Iterable) -> float:
 
 def ks_statistic(samples, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a CDF callable."""
-    x = np.sort(np.asarray(samples, dtype=float).ravel())
-    n = x.size
+    n = np.size(samples)
     if n < 1:
         raise ValueError("ks_statistic needs at least one sample")
-    f = np.asarray(cdf(x), dtype=float)
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - f)
-    d_minus = np.max(f - (i - 1) / n)
+    # the sorted copy is freed once the CDF has been applied
+    f = np.asarray(cdf(np.sort(np.asarray(samples, dtype=float).ravel())),
+                   dtype=float)
+    grid = np.arange(1.0, n + 1.0)
+    grid /= n                                     # i/n
+    d_plus = np.subtract(grid, f, out=grid).max()
+    grid = np.arange(0.0, n)
+    grid /= n                                     # (i - 1)/n
+    d_minus = np.subtract(f, grid, out=grid).max()
     return float(max(d_plus, d_minus))
 
 

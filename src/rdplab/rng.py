@@ -3,9 +3,10 @@
 Every simulator in this package consumes randomness through a
 :class:`SampleStreams` handle.  Samples are partitioned into fixed-size
 blocks of ``BLOCK`` draws; block ``k`` always uses the counter-based
-substream derived from ``(seed, k)``.  Results are therefore bit-identical
-no matter how blocks are batched onto workers, and independent of any
-execution chunk size.
+substream derived from ``(seed, k)``.  The Monte Carlo engine
+(``metrics.simulate_chunks``) draws block by block into chunks of blocks,
+and ``tests/test_block_loop.py`` checks that every chunk length gives
+bit-identical results, each substream built once.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Substream granularity in samples.  Execution batch sizes must be a
-# multiple of this so that batching never changes which stream produced
-# which sample.
+# Substream granularity in samples.  Execution chunks are whole numbers
+# of blocks, so chunking never changes which stream produced which sample.
 BLOCK = 1024
 
 

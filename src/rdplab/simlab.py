@@ -31,15 +31,25 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}")
 
 
-# config-file key -> (ExperimentConfig field, value parser, sweep axis?)
+def parse_count(text) -> int:
+    """An integer count, within +/-2^53 so that it is exact as a double."""
+    value = int(text)
+    if abs(value) > 2 ** 53:
+        raise ValueError(f"must lie within +/-2^53, got a "
+                         f"{len(str(abs(value)))}-digit integer")
+    return value
+
+
+# config-file key -> (ExperimentConfig field, value parser, sweep axis?);
+# the seed, like the CLI's --seed, takes any integer
 CONFIG_KEYS = {
     "scheme": ("scheme", str, False),
     "source": ("source", str, False),
     "delta": ("delta", float, True),
-    "levels": ("levels", int, True),
-    "offsets": ("offsets", int, True),
+    "levels": ("levels", parse_count, True),
+    "offsets": ("offsets", parse_count, True),
     "lambda": ("lam", float, True),
-    "samples": ("n_samples", int, True),
+    "samples": ("n_samples", parse_count, True),
     "seed": ("seed", int, True),
     "origin": ("origin", float, False),
     "literal_paper_indexing": ("literal_paper_indexing", _parse_bool, False),
@@ -156,10 +166,13 @@ def sweep(base: ExperimentConfig, axis: str, values) -> list[dict]:
     if len(values) == 0:
         raise ValueError(f"no values to sweep {axis!r} over")
     field, parse, _ = CONFIG_KEYS[axis]
+    try:
+        parsed = [parse(v) for v in values]
+    except ValueError as exc:
+        raise ValueError(f"{axis} value: {exc}") from None
     rows = []
-    for v in values:
-        cfg = dataclasses.replace(base, **{field: parse(v)})
-        rows.extend(run_experiment(cfg))
+    for v in parsed:
+        rows.extend(run_experiment(dataclasses.replace(base, **{field: v})))
     return rows
 
 

@@ -213,14 +213,14 @@ class CircleSource(UniformSource):
 SourceModel = UniformSource | GaussianSource | CircleSource
 
 
-def draw_truncated(parent: SourceModel, a, b, fa, fb,
-                   rng: np.random.Generator, size):
-    """Draw from ``parent`` conditioned on [a, b], given fa = F(a), fb = F(b).
+def draw_truncated(parent: SourceModel, a, b, fa, fb, u):
+    """Draws from ``parent`` conditioned on [a, b], given fa = F(a), fb = F(b)
+    and uniforms ``u`` on [0, 1), one per draw.
 
     Inverse CDF: quantile(F(a) + U * (F(b) - F(a))), clipped to [a, b].
     ``a``, ``b``, ``fa`` and ``fb`` may be arrays of one interval per draw.
     """
-    u = fa + rng.random(size) * (fb - fa)
+    u = fa + u * (fb - fa)
     # F(a) + U*(F(b)-F(a)) can round up to exactly F(b); keep u < 1.
     u = np.minimum(u, np.nextafter(1.0, 0.0))
     return np.clip(parent.quantile(u), a, b)

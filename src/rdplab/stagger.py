@@ -21,8 +21,8 @@ centers decoder intervals one full step away from their cells.
 A table evaluates the source CDF once on its cell edges (reaching N codes
 past the candidate range on either side) and once on its boundaries; code
 masses, the N-term averages and the clipped cells all slice the one edge
-array.  The one decoder, ``decode(table, j, rng)``, draws every code of
-an array from its interval by the inverse CDF, one uniform per code.
+array.  The one decoder, ``decode(table, j, u)``, draws every code of an
+array from its interval by the inverse CDF of its pre-drawn uniform.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import (ExperimentResult, avg_conditional_entropy, entropy_bits,
-                      ks_statistic, plugin_entropy, simulate_blocks)
+                      ks_statistic, plugin_entropy, simulate_chunks)
 # kept for benchmarks/tracing.py, which patches it (ROADMAP item 1)
 from .quadrature import adaptive_simpson  # noqa: F401
 from .rng import SampleStreams
@@ -216,10 +216,10 @@ def build_boundaries(spec: StaggeredSpec) -> BoundaryTable:
     return table
 
 
-def decode(table: BoundaryTable, j: np.ndarray,
-           rng: np.random.Generator) -> np.ndarray:
+def decode(table: BoundaryTable, j: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Reconstructions for an array of global codes j = N*i + n: each a
-    draw from the source conditioned on [a(j), b(j)], one uniform per code.
+    draw from the source conditioned on [a(j), b(j)], by the inverse CDF of
+    its uniform in ``u`` (on [0, 1), one per code).
     """
     if np.any(j < table.j_first) or np.any(j > table.j_last):
         bad = int(j[(j < table.j_first) | (j > table.j_last)][0])
@@ -229,8 +229,7 @@ def decode(table: BoundaryTable, j: np.ndarray,
     if np.any(fb - fa < DEGENERATE_MASS):
         bad = int(j[fb - fa < DEGENERATE_MASS][0])
         raise InactiveCodeError(f"code {bad} has a degenerate interval")
-    return draw_truncated(table.spec.source, table.a[k], table.b[k], fa, fb,
-                          rng, j.shape)
+    return draw_truncated(table.spec.source, table.a[k], table.b[k], fa, fb, u)
 
 
 @dataclass(frozen=True)
@@ -350,14 +349,16 @@ def simulate_pipeline(spec: StaggeredSpec, samples: int,
     table = build_boundaries(spec)
     n_off = spec.n_offsets
 
-    def step(rng, size):
-        x = spec.source.sample(rng, size)
-        n = rng.integers(0, n_off, size)
+    def draw(rng, size):
+        return (spec.source.sample(rng, size), rng.integers(0, n_off, size),
+                rng.random(size))
+
+    def step(x, n, u):
         j = n_off * encode(spec, x, n) + n
-        xhat = decode(table, j, rng)
+        xhat = decode(table, j, u)
         return (x - xhat) ** 2, j - table.j_first, xhat
 
-    dist, counts, recon = simulate_blocks(streams, samples, step,
+    dist, counts, recon = simulate_chunks(streams, samples, draw, step,
                                           table.codes.size)
     # code j belongs to offset j mod N, so the counts split by offset
     offset_of = np.mod(table.codes, n_off)

@@ -1,13 +1,14 @@
-"""The shared block loop against the per-simulator loops it replaced.
+"""The chunked Monte Carlo engine against the per-block loops it replaced.
 
 Each reference below is a stand-alone per-block loop: it keeps every
-sample's code, counts codes with ``np.unique`` and inlines the clamped
-inverse-CDF decoder.  The simulators run on ``metrics.simulate_blocks``,
-count with ``np.bincount`` and share ``sources.draw_truncated``; every
-field of their results must equal the reference bit for bit.  The two
-circle simulators share one step, the dithered coder being its
-continuous-offset case, so the two circle references pin that step from
-both sides.
+sample's code, counts codes with ``np.unique``, merges moments one block
+at a time and inlines the clamped inverse-CDF decoder.  The simulators run
+on ``metrics.simulate_chunks``, which draws per block but computes per
+chunk, count with ``np.bincount`` and share ``sources.draw_truncated``;
+every field of their results must equal the reference bit for bit, at any
+chunk length.  The two circle simulators share one step, the dithered
+coder being its continuous-offset case, so the two circle references pin
+that step from both sides.
 """
 
 import dataclasses
@@ -16,11 +17,12 @@ import math
 import numpy as np
 import pytest
 
+from rdplab import metrics
 from rdplab.circle import (simulate_dithered_circle, simulate_staggered_circle,
                            wrap_angle)
 from rdplab.metrics import (ExperimentResult, RunningMoments, ks_statistic,
                             plugin_entropy)
-from rdplab.rng import SampleStreams
+from rdplab.rng import BLOCK, SampleStreams
 from rdplab.sources import (DEGENERATE_MASS, CircleSource, GaussianSource,
                             UniformSource)
 from rdplab.stagger import (ACTIVE_EPS, InactiveCodeError, StaggeredSpec,
@@ -192,3 +194,78 @@ def test_literal_indexing_fault_matches_reference(samples):
     with pytest.raises(InactiveCodeError) as want:
         reference_pipeline(spec, samples, SampleStreams(0))
     assert str(got.value) == str(want.value)
+
+
+SIMULATORS = {
+    "staggered-circle":
+        lambda n: simulate_staggered_circle(3, 5, n, SampleStreams(31)),
+    "dithered-circle": lambda n: simulate_dithered_circle(3, n, SampleStreams(31)),
+    "pipeline": lambda n: simulate_pipeline(PIPELINE_SPECS[1], n,
+                                            SampleStreams(31)),
+}
+
+
+def _chunk_lengths():
+    return (1, 3, metrics.CHUNK_BLOCKS)
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize("name", SIMULATORS)
+def test_chunk_length_changes_no_result(monkeypatch, name, samples):
+    # one substream per block, each built once, whatever the chunk length
+    original = SampleStreams.block
+    results = []
+    for chunk_blocks in _chunk_lengths():
+        monkeypatch.setattr(metrics, "CHUNK_BLOCKS", chunk_blocks)
+        built = []
+
+        def block(self, index):
+            built.append(index)
+            return original(self, index)
+
+        monkeypatch.setattr(SampleStreams, "block", block)
+        results.append(dataclasses.asdict(SIMULATORS[name](samples)))
+        assert built == list(range(math.ceil(samples / BLOCK)))
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+def test_chunk_length_changes_no_decoder_error(monkeypatch, samples):
+    # a failing chunk is replayed block by block, so the error is the one
+    # its first faulty block raises
+    spec = StaggeredSpec(UniformSource(0.0, 1.0), 0.25, 2, origin=0.125,
+                         literal_paper_indexing=True)
+    messages = []
+    for chunk_blocks in _chunk_lengths():
+        monkeypatch.setattr(metrics, "CHUNK_BLOCKS", chunk_blocks)
+        with pytest.raises(InactiveCodeError) as got:
+            simulate_pipeline(spec, samples, SampleStreams(0))
+        messages.append(str(got.value))
+    assert messages[0] == messages[1] == messages[2]
+
+
+class _IndexStreams:
+    """Streams whose block 'generator' is the block index itself."""
+
+    def iter_blocks(self, n_samples):
+        for k in range(math.ceil(n_samples / BLOCK)):
+            yield k, min(BLOCK, n_samples - k * BLOCK), k
+
+
+def test_failing_chunk_raises_what_its_first_faulty_block_raises(monkeypatch):
+    # block k draws k; a step checks 'high' (k == 4) before 'low' (k >= 2),
+    # so a whole chunk would name block 4, the block-by-block loop block 2
+    def draw(k, size):
+        return (np.full(size, k),)
+
+    def step(v):
+        if np.any(v == 4):
+            raise ValueError("high block 4")
+        if np.any(v >= 2):
+            raise ValueError(f"low block {v[v >= 2][0]}")
+        return v * 0.0, v, v * 1.0
+
+    for chunk_blocks in _chunk_lengths():
+        monkeypatch.setattr(metrics, "CHUNK_BLOCKS", chunk_blocks)
+        with pytest.raises(ValueError, match="^low block 2$"):
+            metrics.simulate_chunks(_IndexStreams(), 8 * BLOCK, draw, step, 8)

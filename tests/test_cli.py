@@ -134,7 +134,7 @@ def test_scalar_exact_literal_mode_rejects_a_degenerate_interval(capsys):
     k = -30 - table.j_first
     assert table.b[k] > table.a[k] and table.fb[k] - table.fa[k] < 1e-12
     with pytest.raises(InactiveCodeError) as exc:
-        decode(table, np.array([-30]), np.random.default_rng(0))
+        decode(table, np.array([-30]), np.random.default_rng(0).random(1))
     assert err == f"rdplab: error: {exc.value}\n" \
         == "rdplab: error: code -30 has a degenerate interval\n"
 
@@ -329,6 +329,33 @@ def test_sweep_rejects_misspelt_boolean(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith(f"rdplab: error: {cfg}:4: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["levels", "offsets", "samples"])
+def test_sweep_rejects_oversized_config_integers(tmp_path, capsys, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"scheme = circle-staggered\n{key} = {FAR}\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == (f"rdplab: error: {cfg}:2: {key}: must lie within "
+                   f"+/-2^53, got a 401-digit integer\n")
+
+
+def test_sweep_rejects_oversized_values(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("scheme = circle-staggered\nsamples = 10\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--axis",
+                             "levels", "--values", f"2,{FAR}")
+    assert code == 1 and out == ""
+    assert err == ("rdplab: error: levels value: must lie within +/-2^53, "
+                   "got a 401-digit integer\n")
+
+
+def test_config_seed_takes_any_integer(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"scheme = circle-dithered\nsamples = 10\nseed = {FAR}\n")
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 0, err
 
 
 def test_dithered_circle_rejects_offsets(capsys):

@@ -62,6 +62,42 @@ def test_frontier_matches_bessel_functions():
         assert abs(rdp_point(lam).rate_bits - rate) <= 1e-9, lam
 
 
+def bessel_rate_at(distortion):
+    """Rate at a distortion by bisection in log(lam) on the Bessel
+    identities D = 2 - 2 I1/I0 and R = (lam*r - lam - ln i0e(lam)) / ln 2."""
+    lo, hi = math.log(1e-8), math.log(1e4)
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        lam = math.exp(mid)
+        if 2.0 - 2.0 * special.i1e(lam) / special.i0e(lam) > distortion:
+            lo = mid
+        else:
+            hi = mid
+    lam = math.exp(0.5 * (lo + hi))
+    r = special.i1e(lam) / special.i0e(lam)
+    return (lam * r - lam - math.log(special.i0e(lam))) / math.log(2.0)
+
+
+@pytest.mark.parametrize("distortion", [3e-4, 1e-3, 0.05, 0.2, 0.5, 1.0,
+                                        1.5, 1.99, 2.0 - 1e-6])
+def test_rate_at_distortion_matches_bessel_bisection(distortion):
+    assert rate_at_distortion(distortion) == pytest.approx(
+        bessel_rate_at(distortion), rel=1e-11, abs=1e-12)
+
+
+def test_rate_at_distortion_takes_a_few_curve_calls(monkeypatch):
+    from rdplab import frontier
+    calls = []
+
+    def counted(grid):
+        calls.append(len(grid))
+        return rdp_curve(grid)
+
+    monkeypatch.setattr(frontier, "rdp_curve", counted)
+    rate_at_distortion(0.2)
+    assert calls == [frontier.BRACKET_POINTS] * 5
+
+
 def test_law_works_elementwise_on_a_lambda_array():
     lams = np.geomspace(1e-3, 1e3, 7)
     law = VonMisesLikeLaw(lams)

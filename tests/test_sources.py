@@ -120,7 +120,7 @@ def test_sample_matches_cdf():
 
 
 def truncated(src, a, b, rng, size):
-    return draw_truncated(src, a, b, src.cdf(a), src.cdf(b), rng, size)
+    return draw_truncated(src, a, b, src.cdf(a), src.cdf(b), rng.random(size))
 
 
 def test_truncated_support_and_uniform_mean():
@@ -167,7 +167,7 @@ def test_truncated_degenerate_interval_rejected():
             cols[name] = col
         table = dataclasses.replace(table, **cols)
         with pytest.raises(ValueError, match="degenerate"):
-            decode(table, np.full(10, table.codes[k]), rng)
+            decode(table, np.full(10, table.codes[k]), rng.random(10))
 
 
 def test_truncated_moments_against_scipy():

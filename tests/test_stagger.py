@@ -33,35 +33,31 @@ def aligned_spec(n_offsets, delta=0.25, literal=False):
 def oracle_pipeline_mse(spec):
     """Independent analytic oracle for the end-to-end MSE.
 
-    Enumerates active codes from first principles: conditioned on code j
-    the input is the source on the cell and the reconstruction is an
-    independent draw from the source on [a(j), b(j)].  Conditional moments
-    come from scipy.stats (truncnorm / arithmetic) rather than the library.
+    Enumerates active codes from first principles, all codes as one array:
+    conditioned on code j the input is the source on the cell and the
+    reconstruction is an independent draw from the source on [a(j), b(j)].
+    Conditional moments come from scipy.stats (truncnorm / arithmetic)
+    rather than the library.
     """
     src = spec.source
     lo, hi = src.effective_support()
     table = build_boundaries(spec)
-    total = 0.0
-    for k, j in enumerate(table.codes):
-        p = table.prob[k]
-        if p <= 1e-12:
-            continue
-        cl = max(cell_left(spec, int(j)), lo)
-        cr = min(cell_left(spec, int(j)) + spec.delta, hi)
-        a, b = table.a[k], table.b[k]
-        if isinstance(src, GaussianSource):
-            mu, sigma = src.mu, src.sigma
-            tc = scipy.stats.truncnorm((cl - mu) / sigma, (cr - mu) / sigma,
-                                       loc=mu, scale=sigma)
-            tr = scipy.stats.truncnorm((a - mu) / sigma, (b - mu) / sigma,
-                                       loc=mu, scale=sigma)
-            m_cell, v_cell = tc.mean(), tc.var()
-            m_rec, v_rec = tr.mean(), tr.var()
-        else:                       # flat density: uniform and circle kinds
-            m_cell, v_cell = (cl + cr) / 2.0, (cr - cl) ** 2 / 12.0
-            m_rec, v_rec = (a + b) / 2.0, (b - a) ** 2 / 12.0
-        total += p * (v_cell + v_rec + (m_cell - m_rec) ** 2)
-    return total
+    keep = table.prob > 1e-12
+    p, a, b = table.prob[keep], table.a[keep], table.b[keep]
+    left = cell_left(spec, table.codes[keep])
+    cl, cr = np.maximum(left, lo), np.minimum(left + spec.delta, hi)
+    if isinstance(src, GaussianSource):
+        mu, sigma = src.mu, src.sigma
+        tc = scipy.stats.truncnorm((cl - mu) / sigma, (cr - mu) / sigma,
+                                   loc=mu, scale=sigma)
+        tr = scipy.stats.truncnorm((a - mu) / sigma, (b - mu) / sigma,
+                                   loc=mu, scale=sigma)
+        m_cell, v_cell = tc.mean(), tc.var()
+        m_rec, v_rec = tr.mean(), tr.var()
+    else:                           # flat density: uniform and circle kinds
+        m_cell, v_cell = (cl + cr) / 2.0, (cr - cl) ** 2 / 12.0
+        m_rec, v_rec = (a + b) / 2.0, (b - a) ** 2 / 12.0
+    return float(np.sum(p * (v_cell + v_rec + (m_cell - m_rec) ** 2)))
 
 
 def test_encode_examples():
@@ -348,7 +344,7 @@ def test_table_properties(spec):
     k = j - table.j_first
     ok = table.fb[k] - table.fa[k] >= DEGENERATE_MASS
     assert spec.literal_paper_indexing or np.all(ok)
-    xhat = decode(table, j[ok], rng)
+    xhat = decode(table, j[ok], rng.random(j[ok].shape))
     assert np.all((xhat >= table.a[k[ok]]) & (xhat <= table.b[k[ok]]))
     # the exact route refuses a literal table exactly when an interval
     # holds less than DEGENERATE_MASS, as the decoder does
@@ -402,10 +398,10 @@ def test_decode_stays_in_interval_and_rejects_inactive():
     table = build_boundaries(spec)
     rng = SampleStreams(1).block(0)
     a, b = table.a[-table.j_first], table.b[-table.j_first]
-    draws = decode(table, np.zeros(1000, dtype=np.int64), rng)
+    draws = decode(table, np.zeros(1000, dtype=np.int64), rng.random(1000))
     assert np.all((draws >= a) & (draws <= b))
     with pytest.raises(InactiveCodeError):
-        decode(table, np.array([20_000]), rng)
+        decode(table, np.array([20_000]), rng.random(1))
     # the offset-range check lives in the encoder, which makes the codes
     with pytest.raises(ValueError):
         encode(spec, 0.0, 5)
@@ -419,7 +415,7 @@ def test_literal_mode_edge_code_is_degenerate():
     assert table.fb[0] - table.fa[0] < DEGENERATE_MASS
     rng = SampleStreams(2).block(0)
     with pytest.raises(InactiveCodeError, match="degenerate"):
-        decode(table, np.array([table.j_first]), rng)
+        decode(table, np.array([table.j_first]), rng.random(1))
 
 
 def test_literal_mode_exact_rejects_an_empty_interval():
@@ -444,7 +440,7 @@ def test_decode_matches_code_array_draws():
     src, a, b = table.spec.source, table.a[k], table.b[k]
     fa, fb = src.cdf(a), src.cdf(b)
     for size in ((), 7, (2, 3)):
-        got = decode(table, np.full(size, j), SampleStreams(8).block(0))
+        got = decode(table, np.full(size, j), SampleStreams(8).block(0).random(size))
         u = SampleStreams(8).block(0).random(size)
         want = np.clip(src.quantile(fa + u * (fb - fa)), a, b)
         assert np.shape(got) == np.shape(want)
