@@ -135,10 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> list[dict]:
-    for dest, value in vars(args).items():   # counts, exact as doubles
-        if type(value) is int and dest != "seed":
+    # counts must be exact as doubles, and seeds non-negative
+    for dest, value in vars(args).items():
+        if type(value) is int:
+            parse = simlab.parse_seed if dest == "seed" else simlab.parse_count
             try:
-                simlab.parse_count(value)
+                parse(value)
             except ValueError as exc:
                 raise ValueError(f"--{dest} {exc}") from None
     cmd = args.command

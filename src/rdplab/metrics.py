@@ -25,6 +25,11 @@ from .rng import BLOCK
 # 64 blocks is 0.5 MB.
 CHUNK_BLOCKS = 64
 
+# Sorted values per KS slice: 512 KB of doubles per array.  At 2^20
+# samples (2-core box) slices of 2^16 took the circle KS from 36 to 22 ms
+# and the Gaussian KS from 51 to 34 ms against whole arrays.
+KS_SLICE = 1 << 16
+
 # Asymptotic Kolmogorov-Smirnov critical coefficient at alpha = 0.01.
 KS_COEFF_01 = 1.628
 
@@ -37,8 +42,11 @@ def ks_threshold(n_samples: int) -> float:
 class RunningMoments:
     """One-pass (Welford) mean/variance accumulator with associative merge.
 
-    Parallel use: one accumulator per worker, merged in a fixed order so
-    results stay bit-reproducible.
+    The engine runs in one thread and merges block moments in block order.
+    Splitting a run's chunk ranges over two threads, each with its own
+    accumulator joined by ``merge``, measured 0.8-1.13x on 2^20 Gaussian
+    samples (2-core box), since 1024-sample draws hand the interpreter
+    lock back and forth, so ``merge`` has no caller in the library.
     """
 
     __slots__ = ("n", "mean", "m2")
@@ -169,19 +177,26 @@ def avg_conditional_entropy(per_group_counts: Iterable) -> float:
 
 
 def ks_statistic(samples, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a CDF callable."""
+    """One-sample Kolmogorov-Smirnov statistic against a CDF callable.
+
+    The samples are sorted once; the CDF, the i/n and (i - 1)/n grids and
+    the two one-sided maxima then run over slices of KS_SLICE sorted
+    values, which stay in cache, with the bits of the whole-array formula.
+    """
     n = np.size(samples)
     if n < 1:
         raise ValueError("ks_statistic needs at least one sample")
-    # the sorted copy is freed once the CDF has been applied
-    f = np.asarray(cdf(np.sort(np.asarray(samples, dtype=float).ravel())),
-                   dtype=float)
-    grid = np.arange(1.0, n + 1.0)
-    grid /= n                                     # i/n
-    d_plus = np.subtract(grid, f, out=grid).max()
-    grid = np.arange(0.0, n)
-    grid /= n                                     # (i - 1)/n
-    d_minus = np.subtract(f, grid, out=grid).max()
+    x = np.sort(np.asarray(samples, dtype=float).ravel())
+    gaps = np.empty((2, -(-n // KS_SLICE)))      # per-slice D+ and D-
+    for s, lo in enumerate(range(0, n, KS_SLICE)):
+        f = np.asarray(cdf(x[lo:lo + KS_SLICE]), dtype=float)
+        grid = np.arange(lo + 1.0, lo + f.size + 1.0)
+        grid /= n                                 # i/n
+        gaps[0, s] = np.subtract(grid, f, out=grid).max()
+        grid = np.arange(float(lo), lo + f.size)
+        grid /= n                                 # (i - 1)/n
+        gaps[1, s] = np.subtract(f, grid, out=grid).max()
+    d_plus, d_minus = gaps.max(axis=1)
     return float(max(d_plus, d_minus))
 
 

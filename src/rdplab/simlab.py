@@ -3,7 +3,8 @@
 Determinism contract: a given (scheme, params, samples, seed) always
 produces bit-identical statistics.  Randomness is consumed in fixed
 1024-sample blocks with one counter-based substream per block (see
-``rng``), and partial results merge in block order.
+``rng``), and one thread runs the blocks in order, merging distortion
+moments block by block.  Seeds are non-negative integers of any size.
 
 Every output row, Monte Carlo or exact, is built by :func:`row`.
 """
@@ -40,8 +41,15 @@ def parse_count(text) -> int:
     return value
 
 
-# config-file key -> (ExperimentConfig field, value parser, sweep axis?);
-# the seed, like the CLI's --seed, takes any integer
+def parse_seed(text) -> int:
+    """A seed: any non-negative integer, of any size."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
+# config-file key -> (ExperimentConfig field, value parser, sweep axis?)
 CONFIG_KEYS = {
     "scheme": ("scheme", str, False),
     "source": ("source", str, False),
@@ -50,7 +58,7 @@ CONFIG_KEYS = {
     "offsets": ("offsets", parse_count, True),
     "lambda": ("lam", float, True),
     "samples": ("n_samples", parse_count, True),
-    "seed": ("seed", int, True),
+    "seed": ("seed", parse_seed, True),
     "origin": ("origin", float, False),
     "literal_paper_indexing": ("literal_paper_indexing", _parse_bool, False),
 }
@@ -76,6 +84,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.n_samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.scheme == "circle-dithered" and self.offsets != 1:
             raise ValueError(
                 "circle-dithered has no offsets, so offsets (--N) must be "

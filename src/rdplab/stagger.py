@@ -270,8 +270,12 @@ def dithered_reference(source: SourceModel, delta: float) -> DitheredReference:
                          f"{MAX_DELTA_WIDTHS:g} support widths")
     # cell k has its left edge at lo + delta*(k - 1/2)
     t = delta * np.arange(-1, math.ceil(cells) + 1)
-    masses = np.diff(source.mean_cdf_from_lo(t[:-1], t[1:]))
-    masses = masses[masses > ACTIVE_EPS]
+    every = np.diff(source.mean_cdf_from_lo(t[:-1], t[1:]))
+    kept = np.nonzero(every > ACTIVE_EPS)[0]
+    masses = every[kept]
+    # the dropped tails fold into the end cells, so the masses sum to 1
+    masses[0] += every[:kept[0]].sum()
+    masses[-1] += every[kept[-1] + 1:].sum()
     n_cells = int(masses.size)
     return DitheredReference(
         masses=masses,

@@ -1,12 +1,13 @@
 """The chunked Monte Carlo engine against the per-block loops it replaced.
 
-Each reference below is a stand-alone per-block loop: it keeps every
-sample's code, counts codes with ``np.unique``, merges moments one block
-at a time and inlines the clamped inverse-CDF decoder.  The simulators run
-on ``metrics.simulate_chunks``, which draws per block but computes per
-chunk, count with ``np.bincount`` and share ``sources.draw_truncated``;
-every field of their results must equal the reference bit for bit, at any
-chunk length.  The two circle simulators share one step, the dithered
+Each reference below is a stand-alone per-block loop: it builds each
+block's generator from ``SeedSequence(seed, spawn_key=(k,))`` itself,
+keeps every sample's code, counts codes with ``np.unique``, merges
+moments one block at a time and inlines the clamped inverse-CDF decoder.
+The simulators run on ``metrics.simulate_chunks``, which draws per block
+but computes per chunk, count with ``np.bincount`` and share
+``sources.draw_truncated``; every field of their results must equal the
+reference bit for bit, at any chunk length.  The two circle simulators share one step, the dithered
 coder being its continuous-offset case, so the two circle references pin
 that step from both sides.
 """
@@ -36,6 +37,14 @@ def _uniform_angle_cdf(x):
     return np.clip((np.asarray(x, dtype=float) + math.pi) / TWO_PI, 0.0, 1.0)
 
 
+def reference_blocks(streams, samples):
+    """(block size, generator) per block, keyed by numpy's SeedSequence."""
+    for k in range(math.ceil(samples / BLOCK)):
+        ss = np.random.SeedSequence(streams.seed, spawn_key=(k,))
+        yield min(BLOCK, samples - k * BLOCK), np.random.Generator(
+            np.random.Philox(ss))
+
+
 def _circle_reference(dist, counts, recon, samples, seed, rate_bits):
     index_entropy = plugin_entropy(counts)
     return ExperimentResult(
@@ -55,7 +64,7 @@ def reference_staggered_circle(levels, offsets, samples, streams):
     dist = RunningMoments()
     counts = np.zeros(levels, dtype=np.int64)
     recon_parts = []
-    for _, size, rng in streams.iter_blocks(samples):
+    for size, rng in reference_blocks(streams, samples):
         theta = -math.pi + rng.random(size) * TWO_PI
         n = rng.integers(0, offsets, size)
         noise = (rng.random(size) * 2.0 - 1.0) * noise_half
@@ -75,7 +84,7 @@ def reference_dithered_circle(levels, samples, streams):
     dist = RunningMoments()
     counts = np.zeros(levels, dtype=np.int64)
     recon_parts = []
-    for _, size, rng in streams.iter_blocks(samples):
+    for size, rng in reference_blocks(streams, samples):
         theta = -math.pi + rng.random(size) * TWO_PI
         dither = (rng.random(size) - 0.5) * cell
         idx = np.floor((theta + dither) / cell + 0.5).astype(np.int64)
@@ -111,7 +120,7 @@ def reference_pipeline(spec, samples, streams):
     n_off = spec.n_offsets
     dist = RunningMoments()
     j_parts, n_parts, recon_parts = [], [], []
-    for _, size, rng in streams.iter_blocks(samples):
+    for size, rng in reference_blocks(streams, samples):
         x = spec.source.sample(rng, size)
         n = rng.integers(0, n_off, size)
         i = encode(spec, x, n)
@@ -219,9 +228,9 @@ def test_chunk_length_changes_no_result(monkeypatch, name, samples):
         monkeypatch.setattr(metrics, "CHUNK_BLOCKS", chunk_blocks)
         built = []
 
-        def block(self, index):
+        def block(self, index, key=None):
             built.append(index)
-            return original(self, index)
+            return original(self, index, key)
 
         monkeypatch.setattr(SampleStreams, "block", block)
         results.append(dataclasses.asdict(SIMULATORS[name](samples)))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rdplab import simlab
 from rdplab.cli import CSV_HEADER, cli_dispatch
 from rdplab.sources import GaussianSource
 from rdplab.stagger import (InactiveCodeError, StaggeredSpec, build_boundaries,
@@ -356,6 +357,38 @@ def test_config_seed_takes_any_integer(tmp_path, capsys):
     cfg.write_text(f"scheme = circle-dithered\nsamples = 10\nseed = {FAR}\n")
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == 0, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("circle-simulate", "--L", "2", "--samples", "10"),
+    ("circle-simulate", "--L", "2", "--dithered", "--samples", "10"),
+    ("scalar-simulate", "--source", "gauss:0,1", "--delta", "0.5",
+     "--samples", "10"),
+], ids=["circle-staggered", "circle-dithered", "scalar"])
+def test_negative_seed_flag_names_the_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 1 and out == ""
+    assert err == "rdplab: error: --seed must be >= 0, got -1\n"
+
+
+def test_negative_config_seed_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("scheme = circle-staggered\nsamples = 10\nseed = -3\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == f"rdplab: error: {cfg}:3: seed: must be >= 0, got -3\n"
+
+
+def test_negative_sweep_seed_is_rejected_before_any_run(tmp_path, capsys,
+                                                        monkeypatch):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("scheme = circle-staggered\nsamples = 10\n")
+    runs = []
+    monkeypatch.setattr(simlab, "run_experiment", runs.append)
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--axis",
+                             "seed", "--values", "1,-1")
+    assert code == 1 and out == "" and runs == []
+    assert err == "rdplab: error: seed value: must be >= 0, got -1\n"
 
 
 def test_dithered_circle_rejects_offsets(capsys):

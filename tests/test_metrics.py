@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from rdplab.metrics import (ExperimentResult, RunningMoments,
                             avg_conditional_entropy, entropy_bits,
-                            ks_statistic, ks_threshold, plugin_entropy)
+                            KS_SLICE, ks_statistic, ks_threshold,
+                            plugin_entropy)
 from rdplab.frontier import VonMisesLikeLaw
 from rdplab.quadrature import adaptive_simpson
 from rdplab.rng import SampleStreams
+from rdplab.sources import CircleSource, GaussianSource
 
 
 def squared_error_moments(x, xhat):
@@ -97,6 +99,27 @@ def test_ks_detects_shift():
     draws = SampleStreams(77).block(0).random(1_000_000)
     stat = ks_statistic(draws, lambda x: np.clip(x - 0.1, 0.0, 1.0))
     assert stat == pytest.approx(0.1, abs=0.005)
+
+
+def whole_array_ks(samples, cdf):
+    """The KS formula on whole arrays: max of i/n - F and F - (i - 1)/n."""
+    n = samples.size
+    f = cdf(np.sort(samples))
+    return float(max((np.arange(1, n + 1) / n - f).max(),
+                     (f - np.arange(n) / n).max()))
+
+
+@pytest.mark.parametrize("n", [1, 2, KS_SLICE - 1, KS_SLICE, KS_SLICE + 1,
+                               3 * KS_SLICE + 5])
+@pytest.mark.parametrize("law", [GaussianSource(0.0, 1.0), CircleSource()],
+                         ids=["gauss:0,1", "circle"])
+def test_ks_slices_give_the_whole_array_bits(law, n):
+    draws = law.sample(SampleStreams(n).block(0), n)
+    mass = np.full(n, law.quantile(0.5))
+    # shifted draws put D- (or D+) near the median, in a middle slice; a
+    # point mass puts D- in the first slice and D+ in the last
+    for x in (draws, draws - 0.5, draws + 0.5, mass):
+        assert ks_statistic(x, law.cdf) == whole_array_ks(x, law.cdf)
 
 
 def neg_p_log_p(pdf):

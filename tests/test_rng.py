@@ -1,0 +1,81 @@
+"""Block substreams against numpy's own SeedSequence derivation.
+
+``SampleStreams`` hashes the Philox keys of a whole range of blocks at
+once; each block's generator must still be the one numpy builds from
+``SeedSequence(seed, spawn_key=(k,))``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from rdplab.circle import simulate_staggered_circle
+from rdplab.rng import BLOCK, SampleStreams
+
+FAR = 10 ** 400 + 3                   # 401 digits: 42 entropy words
+SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 128 + 1, FAR]
+SEED_IDS = ["0", "1", "2^32-1", "2^32", "2^128+1", "FAR"]
+# 2^32 and 2^43 take two spawn words, 2^32 - 1 is the last one-word block
+WIDE_BLOCKS = [2 ** 32 - 1, 2 ** 32, 2 ** 43]
+
+
+def numpy_block(seed, k):
+    ss = np.random.SeedSequence(seed, spawn_key=(k,))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def assert_same_generator(got, want):
+    a, b = got.bit_generator.state, want.bit_generator.state
+    assert a["bit_generator"] == b["bit_generator"] == "Philox"
+    for field in ("key", "counter"):
+        assert a["state"][field].tolist() == b["state"][field].tolist()
+    assert got.random(3).tolist() == want.random(3).tolist()
+    assert got.integers(0, 7, 5).tolist() == want.integers(0, 7, 5).tolist()
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
+def test_block_generators_match_numpy(seed):
+    streams = SampleStreams(seed)
+    blocks = list(streams.iter_blocks(2048 * BLOCK))
+    assert [k for k, _, _ in blocks] == list(range(2048))
+    for k, _, rng in blocks:
+        assert_same_generator(rng, numpy_block(seed, k))
+    for k in WIDE_BLOCKS:
+        assert_same_generator(streams.block(k), numpy_block(seed, k))
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
+def test_keys_across_the_two_word_boundary(seed):
+    start = 2 ** 32 - 3                 # three one-word, three two-word blocks
+    keys = SampleStreams(seed).keys(start, start + 6)
+    for row, k in zip(keys, range(start, start + 6)):
+        want = np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(
+            2, np.uint64)
+        assert row.tolist() == want.tolist()
+
+
+def test_run_builds_one_seed_sequence_and_each_block_once(monkeypatch):
+    # the slow path built one SeedSequence and one seeded Philox per block
+    real = np.random.SeedSequence
+    made, built = [], []
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    original = SampleStreams.block
+
+    def block(self, index, key=None):
+        rng = original(self, index, key)
+        built.append((index, rng))
+        return rng
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    monkeypatch.setattr(SampleStreams, "block", block)
+    samples = 64 * BLOCK
+    simulate_staggered_circle(2, 3, samples, SampleStreams(9))
+    assert len(made) <= 1
+    assert [k for k, _ in built] == list(range(math.ceil(samples / BLOCK)))
+    assert not any(isinstance(rng.bit_generator.seed_seq, real)
+                   for _, rng in built)

@@ -88,6 +88,8 @@ def test_config_validation():
         ExperimentConfig(scheme="frontier", n_samples=0)
     with pytest.raises(ValueError, match="circle-dithered"):
         ExperimentConfig(scheme="circle-dithered", offsets=2)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ExperimentConfig(scheme="circle-staggered", seed=-1)
     assert ExperimentConfig(scheme="circle-dithered", offsets=1).offsets == 1
 
 
