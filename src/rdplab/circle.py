@@ -148,7 +148,8 @@ def _simulate_circle(levels, samples, streams, draw_offset, noise_half,
     return ExperimentResult(
         rate_bits=index_entropy if rate_bits is None else rate_bits,
         mse=dist.mean,
-        perception_ks=ks_statistic(recon, CircleSource().cdf),
+        perception_ks=ks_statistic(recon, CircleSource().cdf,
+                                   overwrite_samples=True),
         n_samples=samples,
         seed=streams.seed,
         mc_radius_mse=dist.mc_radius(),

@@ -157,8 +157,11 @@ def _run(args) -> list[dict]:
         return [_point_row("one-shot", p)
                 for p in circle.one_shot_frontier(args.Lmax)]
     if cmd == "rdp-frontier":
-        if args.points < 1:
-            raise ValueError("need at least one grid point")
+        # refused before the grid exists: 1e9 points would be 8 GB
+        if not 1 <= args.points <= frontier.MAX_CURVE_POINTS:
+            raise ValueError(f"--points must lie in "
+                             f"[1, {frontier.MAX_CURVE_POINTS}], "
+                             f"got {args.points}")
         if not (0 < args.lambda_min <= args.lambda_max < math.inf):
             raise ValueError("need 0 < lambda-min <= lambda-max, both finite")
         grid = np.geomspace(args.lambda_min, args.lambda_max, args.points)

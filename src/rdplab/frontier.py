@@ -38,6 +38,9 @@ TRAPEZOID_TOL = 1e-10
 # lam values per (lam x node) block: 4 MB per temporary
 LAM_BLOCK = 256
 LAMBDA_MAX = 1e4
+# Largest grid of the rdp-frontier command, the cap of the one-shot
+# frontier: 2^16 points print in about 2 s with a peak near 100 MB.
+MAX_CURVE_POINTS = 2 ** 16
 # rate_at_distortion: lam points per bracketing rdp_curve call, and the
 # log(lam) width of the bracket its cubic interpolates on (5 calls; within
 # 4e-13 bits of a 1e-12 bisection on 66 distortions in [3e-4, 2))

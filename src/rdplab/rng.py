@@ -6,7 +6,9 @@ blocks of ``BLOCK`` draws; block ``k`` always uses the counter-based
 (Philox) substream ``Philox(SeedSequence(seed, spawn_key=(k,)))``.  The
 Monte Carlo engine (``metrics.simulate_chunks``) draws block by block into
 chunks of blocks, and ``tests/test_block_loop.py`` checks that every chunk
-length gives bit-identical results, each substream built once.
+length gives bit-identical results, each substream built once.  Seeds are
+non-negative integers of any size; a negative seed is refused when the
+streams are made.
 
 Keys.  A Philox substream is fixed by its 128-bit key, which
 ``SeedSequence.generate_state(2, uint64)`` hashes out of the sequence's
@@ -74,9 +76,14 @@ class _BlockKey(ISeedSequence):
 
 @dataclass(frozen=True)
 class SampleStreams:
-    """Splittable family of counter-based (Philox) generators."""
+    """Splittable family of counter-based (Philox) generators; the seed is
+    a non-negative integer of any size."""
 
     seed: int
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def keys(self, start: int, stop: int) -> np.ndarray:
         """Philox keys of blocks start .. stop-1 (0 <= start, stop <= 2^64),

@@ -370,7 +370,8 @@ def simulate_pipeline(spec: StaggeredSpec, samples: int,
     return ExperimentResult(
         rate_bits=avg_conditional_entropy(c for c in per_offset if c.any()),
         mse=dist.mean,
-        perception_ks=ks_statistic(recon, spec.source.cdf),
+        perception_ks=ks_statistic(recon, spec.source.cdf,
+                                   overwrite_samples=True),
         n_samples=samples,
         seed=streams.seed,
         mc_radius_mse=dist.mc_radius(),

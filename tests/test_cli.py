@@ -265,6 +265,10 @@ def far(flag):
     # one-shot-frontier checks its cap before it builds a point
     pytest.param(["one-shot-frontier", "--Lmax", "65537"],
                  "rdplab: error: l_max must lie in [1, 65536]\n", id="Lmax-cap"),
+    # rdp-frontier checks its cap before it builds the grid
+    pytest.param(["rdp-frontier", "--points", "65537"],
+                 "rdplab: error: --points must lie in [1, 65536], got 65537\n",
+                 id="points-cap"),
 ])
 def test_oversized_allocation_exits_one(capsys, argv, message):
     # 2^53 elements exceed any address space, so numpy refuses at once;

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from rdplab.metrics import (ExperimentResult, RunningMoments,
                             avg_conditional_entropy, entropy_bits,
-                            KS_SLICE, ks_statistic, ks_threshold,
-                            plugin_entropy)
+                            KS_SLICE, KS_WINDOW, ks_statistic,
+                            ks_threshold, plugin_entropy)
 from rdplab.frontier import VonMisesLikeLaw
 from rdplab.quadrature import adaptive_simpson
 from rdplab.rng import SampleStreams
@@ -120,6 +120,54 @@ def test_ks_slices_give_the_whole_array_bits(law, n):
     # point mass puts D- in the first slice and D+ in the last
     for x in (draws, draws - 0.5, draws + 0.5, mass):
         assert ks_statistic(x, law.cdf) == whole_array_ks(x, law.cdf)
+
+
+@pytest.mark.parametrize("n", [KS_SLICE + 1, 5 * KS_WINDOW * KS_WINDOW + 7])
+def test_ks_windows_give_the_whole_array_bits(n):
+    def uniform(x):
+        return np.clip(x, 0.0, 1.0)
+
+    grid = (np.arange(n) + 0.5) / n         # D = 1/(2n): every window opens
+    draws = SampleStreams(n).block(0).random(n)
+    ties = np.round(draws, 3)
+    tail = np.where(draws > 1.0 - 2.0 / n, 2.0, draws)   # D in the short
+    inner = grid.copy()                                  # last window; D
+    inner[5 * KS_WINDOW + 60] -= 1e-9                   # inside a window
+    for x in (grid, grid[::-1], draws, ties, tail, inner):
+        assert ks_statistic(x, uniform) == whole_array_ks(x, uniform)
+    nan = draws.copy()
+    nan[n // 2] = np.nan
+    assert math.isnan(ks_statistic(nan, uniform))
+    assert math.isnan(whole_array_ks(nan, uniform))
+
+
+def test_ks_runs_the_cdf_on_few_windows():
+    n = 1 << 20
+    draws = SampleStreams(5).block(0).random(n)
+    seen = []
+
+    def cdf(x):
+        seen.append(x.size)
+        return np.clip(x, 0.0, 1.0)
+
+    stat = ks_statistic(draws, cdf)
+    # the window ends, then a few open windows; not the 2^20 samples
+    assert seen[0] == 2 * n // KS_WINDOW and sum(seen) < n // 10
+    assert stat == whole_array_ks(draws, cdf)
+
+
+@pytest.mark.parametrize("n", [1, KS_SLICE + 1])
+def test_ks_overwrite_samples_gives_the_copying_bits(n):
+    law = GaussianSource(0.0, 1.0)
+    draws = law.sample(SampleStreams(n).block(0), n)
+    kept = draws.copy()
+    want = ks_statistic(draws, law.cdf)
+    assert draws.tobytes() == kept.tobytes()      # the default copies
+    assert ks_statistic(kept, law.cdf, overwrite_samples=True) == want
+    # a list or a strided view has no float array to hand over
+    assert ks_statistic(draws.tolist(), law.cdf, overwrite_samples=True) == want
+    pairs = np.stack([draws, draws]).T
+    assert ks_statistic(pairs[:, 0], law.cdf, overwrite_samples=True) == want
 
 
 def neg_p_log_p(pdf):

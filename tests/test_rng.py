@@ -10,8 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from rdplab.circle import simulate_staggered_circle
+from rdplab import metrics
+from rdplab.circle import simulate_dithered_circle, simulate_staggered_circle
 from rdplab.rng import BLOCK, SampleStreams
+from rdplab.sources import GaussianSource
+from rdplab.stagger import StaggeredSpec, simulate_pipeline
 
 FAR = 10 ** 400 + 3                   # 401 digits: 42 entropy words
 SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 128 + 1, FAR]
@@ -73,9 +76,22 @@ def test_run_builds_one_seed_sequence_and_each_block_once(monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", counting)
     monkeypatch.setattr(SampleStreams, "block", block)
-    samples = 64 * BLOCK
+    # four chunks, the last one a single 5-sample block
+    samples = 3 * metrics.CHUNK_BLOCKS * BLOCK + 5
     simulate_staggered_circle(2, 3, samples, SampleStreams(9))
     assert len(made) <= 1
     assert [k for k, _ in built] == list(range(math.ceil(samples / BLOCK)))
     assert not any(isinstance(rng.bit_generator.seed_seq, real)
                    for _, rng in built)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: simulate_dithered_circle(2, 10, SampleStreams(-1)),
+    lambda: simulate_pipeline(StaggeredSpec(GaussianSource(0.0, 1.0), 0.5, 2),
+                              3 * metrics.CHUNK_BLOCKS * BLOCK,
+                              SampleStreams(-1)),
+], ids=["one-block", "multi-chunk"])
+def test_negative_seed_is_refused_before_any_draw(run):
+    # numpy's own refusal came only at the first draw, naming no seed
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        run()
