@@ -31,7 +31,7 @@ import numpy as np
 
 from .metrics import (ExperimentResult, ks_statistic, plugin_entropy,
                       simulate_chunks)
-from .rng import SampleStreams
+from .rng import BLOCK, SampleStreams, draw_offsets
 from .sources import CircleSource
 
 # Largest L of the one-shot frontier: its 2^16 points print in under 2 s
@@ -39,9 +39,15 @@ from .sources import CircleSource
 MAX_FRONTIER_LEVELS = 2 ** 16
 
 
-def wrap_angle(theta):
-    """Canonical wrap onto (-pi, pi].  All circle arithmetic goes through here."""
-    return theta - math.tau * np.ceil((theta - math.pi) / math.tau)
+def wrap_angle(theta, out=None):
+    """Canonical wrap onto (-pi, pi].  All circle arithmetic goes through here.
+
+    ``out``, an array other than ``theta``, receives the angles in place of
+    a fresh array.
+    """
+    turns = np.subtract(theta, math.pi, out=out)
+    turns = np.ceil(np.divide(turns, math.tau, out=out), out=out)
+    return np.subtract(theta, np.multiply(turns, math.tau, out=out), out=out)
 
 
 def _sinc(x: float) -> float:
@@ -92,9 +98,12 @@ def simulate_staggered_circle(levels: int, offsets: int, samples: int,
     """
     if levels < 1 or offsets < 1:
         raise ValueError("levels and offsets must be >= 1")
+    index = np.empty(BLOCK, dtype=np.int64)
 
-    def draw_offset(rng, size):
-        return math.tau * rng.integers(0, offsets, size) / (levels * offsets)
+    def draw_offset(rng, out):
+        n = draw_offsets(rng, offsets, index[:out.size])
+        np.multiply(n, math.tau, out=out)
+        out /= levels * offsets
 
     return _simulate_circle(levels, samples, streams, draw_offset,
                             noise_half=math.pi / (levels * offsets),
@@ -114,8 +123,9 @@ def simulate_dithered_circle(levels: int, samples: int,
         raise ValueError("levels must be >= 1")
     cell = math.tau / levels
 
-    def draw_offset(rng, size):
-        return (0.5 - rng.random(size)) * cell
+    def draw_offset(rng, out):
+        np.subtract(0.5, rng.random(out=out), out=out)
+        out *= cell
 
     return _simulate_circle(levels, samples, streams, draw_offset,
                             noise_half=0.0, rate_bits=math.log2(levels))
@@ -130,20 +140,35 @@ def _simulate_circle(levels, samples, streams, draw_offset, noise_half,
     """
     cell = math.tau / levels
 
-    def draw(rng, size):
-        theta = -math.pi + rng.random(size) * math.tau
-        offset = draw_offset(rng, size)
-        return (theta, offset, rng.random(size)) if noise_half else (theta, offset)
-
-    def step(theta, offset, *noise):
-        idx = np.floor((theta - offset) / cell + 0.5).astype(np.int64)
-        theta_hat = offset + idx * cell
+    def draw(rng, theta, offset, *noise):
+        rng.random(out=theta)
+        theta *= math.tau
+        theta -= math.pi
+        draw_offset(rng, offset)
         if noise_half:
-            theta_hat = theta_hat + (noise[0] * 2.0 - 1.0) * noise_half
-        theta_hat = wrap_angle(theta_hat)
-        return 2.0 - 2.0 * np.cos(theta - theta_hat), idx % levels, theta_hat
+            rng.random(out=noise[0])
 
-    dist, counts, recon = simulate_chunks(streams, samples, draw, step, levels)
+    def step(theta, offset, *noise, out):
+        err2, idx, theta_hat = out
+        t = np.subtract(theta, offset, out=err2)
+        t /= cell
+        t += 0.5
+        np.copyto(idx, np.floor(t, out=t), casting="unsafe")
+        center = np.multiply(idx, cell, out=err2)
+        center += offset
+        if noise_half:
+            arc = np.multiply(noise[0], 2.0, out=theta_hat)
+            arc -= 1.0
+            arc *= noise_half
+            center += arc
+        wrap_angle(center, out=theta_hat)
+        cos = np.cos(np.subtract(theta, theta_hat, out=err2), out=err2)
+        cos *= 2.0
+        np.subtract(2.0, cos, out=err2)
+        np.remainder(idx, levels, out=idx)
+
+    dist, counts, recon = simulate_chunks(
+        streams, samples, draw, step, levels, (float,) * (3 if noise_half else 2))
     index_entropy = plugin_entropy(counts)
     return ExperimentResult(
         rate_bits=index_entropy if rate_bits is None else rate_bits,

@@ -4,9 +4,11 @@ Distortion moments (:class:`RunningMoments`), the entropy of a probability
 vector and its plug-in form on count tables, the KS perception statistic
 with its acceptance threshold, and :func:`simulate_chunks`, the one engine
 every simulator runs: each 1024-sample block draws from its own substream
-into chunk arrays, and the simulator's arithmetic, its guards and the
-moment updates run once per chunk of CHUNK_BLOCKS blocks.  Moments are
-still merged block by block, so no chunk length changes a result.
+straight into its slice of the chunk arrays, and the simulator's
+arithmetic, its guards and the moment updates run once per chunk of
+CHUNK_BLOCKS blocks, in place in scratch arrays the engine allocates once
+per run.  Moments are still merged block by block, so no chunk length
+changes a result.
 """
 
 from __future__ import annotations
@@ -67,10 +69,13 @@ class RunningMoments:
         self.mean = 0.0
         self.m2 = 0.0
 
-    def update(self, values, batch: int | None = None) -> None:
+    def update(self, values, batch: int | None = None, *,
+               overwrite_values: bool = False) -> None:
         """Merge ``values`` in order as consecutive batches of ``batch``
         values (the last one may be shorter; one batch by default), with
-        the bits of one ``update`` per batch."""
+        the bits of one ``update`` per batch.  With ``overwrite_values`` a
+        contiguous float array takes the squared deviations in place of a
+        fresh array, so the caller must not read it again."""
         values = np.asarray(values, dtype=float).ravel()
         if values.size == 0:
             return
@@ -81,7 +86,9 @@ class RunningMoments:
             if rows.size == 0:
                 continue
             mu = rows.mean(axis=1)
-            m2 = ((rows - mu[:, None]) ** 2).sum(axis=1)
+            dev = np.subtract(rows, mu[:, None],
+                              out=rows if overwrite_values else None)
+            m2 = np.square(dev, out=dev).sum(axis=1)
             for m, s in zip(mu.tolist(), m2.tolist()):
                 self._combine(rows.shape[1], m, s)
 
@@ -110,44 +117,51 @@ class RunningMoments:
         return 3.0 * math.sqrt(self.variance()) / math.sqrt(self.n)
 
 
-def simulate_chunks(streams, samples: int, draw, step, n_bins: int):
+def simulate_chunks(streams, samples: int, draw, step, n_bins: int,
+                    dtypes, work: int = 0):
     """Run one Monte Carlo simulation over the sample blocks of ``streams``.
 
-    ``draw(rng, size)`` returns one block's random inputs, a tuple of
-    arrays drawn from the block's own substream; blocks are copied in
-    block order into chunk arrays of CHUNK_BLOCKS blocks.  ``step(*chunk)``
-    simulates a chunk and returns ``(err2, bins, recon)``: per-sample
-    squared errors, integer bins in [0, n_bins) and reconstructions.  A
-    step is a pure function of its draws, so a chunk that raises is
-    replayed block by block and raises what its first faulty block raises.
-    Returns the distortion moments (merged block by block), the bin counts
-    and the reconstructions of all samples in sample order.
+    Every array is allocated once per run, with min(samples, chunk) rows
+    for a chunk of CHUNK_BLOCKS blocks: one chunk array per dtype in
+    ``dtypes`` for the random inputs, the squared errors (float), the bins
+    (int64) and ``work`` float scratch arrays, besides the reconstructions
+    of all samples.  ``draw(rng, *outs)`` writes one block's random inputs,
+    drawn from the block's own substream, into ``outs``, its slices of the
+    input arrays.  ``step(*inputs, out=(err2, bins, recon, *work))``
+    simulates a chunk: it writes per-sample squared errors, integer bins in
+    [0, n_bins) and reconstructions into the first three arrays of ``out``,
+    and may use all of them as scratch, but never writes into its inputs.
+    So a chunk that raises is replayed block by block from the same arrays
+    and raises what its first faulty block raises.  Returns the distortion
+    moments (merged block by block), the bin counts and the
+    reconstructions of all samples in sample order.
     """
     chunk = CHUNK_BLOCKS * BLOCK
+    rows = min(chunk, samples)
+    inputs = [np.empty(rows, dtype) for dtype in dtypes]
+    err2, bins = np.empty(rows), np.empty(rows, dtype=np.int64)
+    scratch = [np.empty(rows) for _ in range(work)]
+    recon = np.empty(samples)
     dist = RunningMoments()
     counts = np.zeros(n_bins, dtype=np.int64)
-    recon = np.empty(samples)
-    bufs = None
     for k, size, rng in streams.iter_blocks(samples):
-        parts = draw(rng, size)
-        if bufs is None:
-            bufs = [np.empty(min(chunk, samples), p.dtype) for p in parts]
         at = k * BLOCK % chunk              # the block's place in its chunk
-        for buf, part in zip(bufs, parts):
-            buf[at:at + size] = part
+        draw(rng, *(buf[at:at + size] for buf in inputs))
         filled, drawn = at + size, k * BLOCK + size
         if filled < chunk and drawn < samples:
             continue
-        views = [buf[:filled] for buf in bufs]
+        views = [buf[:filled] for buf in inputs]
+        out = [err2[:filled], bins[:filled], recon[drawn - filled:drawn],
+               *(buf[:filled] for buf in scratch)]
         try:
-            err2, bins, xhat = step(*views)
+            step(*views, out=out)
         except ValueError:
             for b in range(0, filled, BLOCK):
-                step(*(v[b:b + BLOCK] for v in views))
+                step(*(v[b:b + BLOCK] for v in views),
+                     out=[o[b:b + BLOCK] for o in out])
             raise
-        dist.update(err2, BLOCK)
-        counts += np.bincount(bins, minlength=n_bins)
-        recon[drawn - filled:drawn] = xhat
+        dist.update(out[0], BLOCK, overwrite_values=True)
+        counts += np.bincount(out[1], minlength=n_bins)
     return dist, counts, recon
 
 

@@ -86,6 +86,12 @@ class ExperimentConfig:
             raise ValueError("samples must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # the engine's count array and each chunk's bincount are L long
+        if (self.scheme in ("circle-staggered", "circle-dithered")
+                and self.levels > stagger.MAX_TABLE_CODES):
+            raise ValueError(
+                f"levels (--L) must lie in [1, {stagger.MAX_TABLE_CODES}] "
+                f"for {self.scheme}, got {self.levels}")
         if self.scheme == "circle-dithered" and self.offsets != 1:
             raise ValueError(
                 "circle-dithered has no offsets, so offsets (--N) must be "

@@ -17,6 +17,10 @@ their offsets from the low end of the support, which keep their digits.
 Every law's ``pdf``, ``cdf`` and ``quantile`` compute on the float or
 array they are given and return numpy's result: a scalar gives a scalar
 (never a 0-d array) with the bits of the matching array element.
+``sample(rng, size=None, out=None)`` and ``quantile(u, out=None)`` write
+into ``out``, when given, rather than a fresh array, with the same bits,
+and so does ``draw_truncated``: the Monte Carlo engine draws and decodes
+into arrays it allocates once per run.
 """
 
 from __future__ import annotations
@@ -74,12 +78,17 @@ class UniformSource:
     def cdf(self, x):
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
         _check_unit_interval(u)
-        return self.lo + u * (self.hi - self.lo)
+        x = np.multiply(u, self.hi - self.lo, out=out)
+        x += self.lo
+        return x
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.lo + rng.random(size) * (self.hi - self.lo)
+    def sample(self, rng: np.random.Generator, size=None, out=None):
+        x = rng.random(size, out=out)
+        x *= self.hi - self.lo
+        x += self.lo
+        return x
 
     def mean_var_on(self, a, b):
         """Mean and variance of the law restricted to [a, b]."""
@@ -126,12 +135,18 @@ class GaussianSource:
     def cdf(self, x):
         return special.ndtr((x - self.mu) / self.sigma)
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
         _check_unit_interval(u)
-        return self.mu + self.sigma * special.ndtri(u)
+        x = special.ndtri(u, out=out)
+        x *= self.sigma
+        x += self.mu
+        return x
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.mu + self.sigma * rng.standard_normal(size)
+    def sample(self, rng: np.random.Generator, size=None, out=None):
+        x = rng.standard_normal(size, out=out)
+        x *= self.sigma
+        x += self.mu
+        return x
 
     def mean_var_on(self, a, b):
         """Truncated-normal mean and variance on [a, b].
@@ -213,17 +228,23 @@ class CircleSource(UniformSource):
 SourceModel = UniformSource | GaussianSource | CircleSource
 
 
-def draw_truncated(parent: SourceModel, a, b, fa, fb, u):
+def draw_truncated(parent: SourceModel, a, b, fa, fb, u, out=None):
     """Draws from ``parent`` conditioned on [a, b], given fa = F(a), fb = F(b)
     and uniforms ``u`` on [0, 1), one per draw.
 
     Inverse CDF: quantile(F(a) + U * (F(b) - F(a))), clipped to [a, b].
     ``a``, ``b``, ``fa`` and ``fb`` may be arrays of one interval per draw.
+    ``out``, when given, receives the draws and every step between; it may
+    be ``fb`` itself, which is read first.
     """
-    u = fa + u * (fb - fa)
+    v = np.subtract(fb, fa, out=out)
+    v = np.multiply(v, u, out=out)
+    v = np.add(v, fa, out=out)
     # F(a) + U*(F(b)-F(a)) can round up to exactly F(b); keep u < 1.
-    u = np.minimum(u, np.nextafter(1.0, 0.0))
-    return np.clip(parent.quantile(u), a, b)
+    v = np.minimum(v, np.nextafter(1.0, 0.0), out=out)
+    v = parent.quantile(v, out=out)
+    # np.clip's bits, NaN and signed zeros included, in place
+    return np.minimum(np.maximum(v, a, out=out), b, out=out)
 
 
 def parse_source(text: str) -> SourceModel:

@@ -36,7 +36,7 @@ from .metrics import (ExperimentResult, avg_conditional_entropy, entropy_bits,
                       ks_statistic, plugin_entropy, simulate_chunks)
 # kept for benchmarks/tracing.py, which patches it (ROADMAP item 1)
 from .quadrature import adaptive_simpson  # noqa: F401
-from .rng import SampleStreams
+from .rng import SampleStreams, draw_offsets
 from .sources import DEGENERATE_MASS, SourceModel, draw_truncated
 
 # Codes carrying less probability than this are excluded from boundary
@@ -98,12 +98,25 @@ class StaggeredSpec:
                              f"{MAX_DELTA_WIDTHS:g} support widths")
 
 
-def encode(spec: StaggeredSpec, x, n):
-    """Cell index of x under the n-th offset quantizer (round-half-up)."""
+def encode(spec: StaggeredSpec, x, n, out=None, work=None):
+    """Cell index of x under the n-th offset quantizer (round-half-up).
+
+    ``out`` (int64) and ``work`` (float), arrays shaped like x, take the
+    indices and the arithmetic in place of fresh arrays; n/N borrows the
+    memory of ``out`` until the indices overwrite it.
+    """
     if np.any(n < 0) or np.any(n >= spec.n_offsets):
         raise ValueError(f"offset index out of range [0, {spec.n_offsets})")
-    t = (x - spec.origin) / spec.delta - n / spec.n_offsets
-    return np.floor(t + 0.5).astype(np.int64)
+    t = np.subtract(x, spec.origin, out=work)
+    t = np.divide(t, spec.delta, out=work)
+    shift = np.divide(n, spec.n_offsets,
+                      out=None if out is None else out.view(np.float64))
+    t = np.subtract(t, shift, out=work)
+    t = np.floor(np.add(t, 0.5, out=work), out=work)
+    if out is None:
+        return t.astype(np.int64)
+    np.copyto(out, t, casting="unsafe")
+    return out
 
 
 def cell_left(spec: StaggeredSpec, j):
@@ -221,15 +234,31 @@ def decode(table: BoundaryTable, j: np.ndarray, u: np.ndarray) -> np.ndarray:
     draw from the source conditioned on [a(j), b(j)], by the inverse CDF of
     its uniform in ``u`` (on [0, 1), one per code).
     """
-    if np.any(j < table.j_first) or np.any(j > table.j_last):
+    return _decode_rows(table, np.subtract(j, table.j_first), u)
+
+
+def _decode_rows(table: BoundaryTable, k, u, out=None, work=(None,) * 3):
+    """``decode`` of the codes on the table rows k = j - j_first.  ``out``
+    and the three ``work`` arrays, float arrays shaped like k, take the
+    draws and the gathered intervals in place of fresh arrays."""
+    if np.min(k, initial=0) < 0 or np.max(k, initial=0) >= table.codes.size:
+        j = np.ravel(k) + table.j_first
         bad = int(j[(j < table.j_first) | (j > table.j_last)][0])
         raise InactiveCodeError(f"code {bad} outside the active table")
-    k = j - table.j_first
-    fa, fb = table.fa[k], table.fb[k]
-    if np.any(fb - fa < DEGENERATE_MASS):
-        bad = int(j[fb - fa < DEGENERATE_MASS][0])
-        raise InactiveCodeError(f"code {bad} has a degenerate interval")
-    return draw_truncated(table.spec.source, table.a[k], table.b[k], fa, fb, u)
+    fa_k, a_k, b_k = work
+    # every row is in range, so "clip" takes the rows that "raise" would
+    # take, without raise's buffered copy into out
+    fa = np.take(table.fa, k, out=fa_k, mode="clip")
+    fb = np.take(table.fb, k, out=out, mode="clip")
+    width = np.subtract(fb, fa, out=a_k)
+    # fmin skips NaN, as the comparison does
+    if np.fmin.reduce(width, axis=None, initial=math.inf) < DEGENERATE_MASS:
+        bad = int(np.ravel(k)[np.ravel(width) < DEGENERATE_MASS][0])
+        raise InactiveCodeError(f"code {bad + table.j_first} has a "
+                                f"degenerate interval")
+    a = np.take(table.a, k, out=a_k, mode="clip")
+    b = np.take(table.b, k, out=b_k, mode="clip")
+    return draw_truncated(table.spec.source, a, b, fa, fb, u, out=out)
 
 
 @dataclass(frozen=True)
@@ -353,17 +382,24 @@ def simulate_pipeline(spec: StaggeredSpec, samples: int,
     table = build_boundaries(spec)
     n_off = spec.n_offsets
 
-    def draw(rng, size):
-        return (spec.source.sample(rng, size), rng.integers(0, n_off, size),
-                rng.random(size))
+    def draw(rng, x, n, u):
+        spec.source.sample(rng, out=x)
+        draw_offsets(rng, n_off, n)
+        rng.random(out=u)
 
-    def step(x, n, u):
-        j = n_off * encode(spec, x, n) + n
-        xhat = decode(table, j, u)
-        return (x - xhat) ** 2, j - table.j_first, xhat
+    def step(x, n, u, out):
+        err2, k, xhat, *work = out
+        encode(spec, x, n, out=k, work=err2)
+        # table rows k = j - j_first of the codes j = N*i + n
+        k *= n_off
+        k += n
+        k -= table.j_first
+        _decode_rows(table, k, u, out=xhat, work=(err2, *work))
+        np.square(np.subtract(x, xhat, out=err2), out=err2)
 
     dist, counts, recon = simulate_chunks(streams, samples, draw, step,
-                                          table.codes.size)
+                                          table.codes.size,
+                                          (float, np.int64, float), work=2)
     # code j belongs to offset j mod N, so the counts split by offset
     offset_of = np.mod(table.codes, n_off)
     per_offset = (counts[offset_of == n] for n in range(n_off))

@@ -168,18 +168,25 @@ def test_dithered_circle_matches_reference(levels, samples):
     assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
+# offset counts 2, 3, 2, 2, then 4 (the benchmark's Gaussian pipeline),
+# 1 (no offset drawn) and 64: the engine reads power-of-two offsets from
+# raw words, the references call rng.integers
 PIPELINE_SPECS = [
     StaggeredSpec(UniformSource(0.0, 1.0), 0.25, 2, origin=0.125),
     StaggeredSpec(GaussianSource(0.0, 1.0), 0.5, 2),
     StaggeredSpec(CircleSource(), math.pi / 2, 3),
     StaggeredSpec(GaussianSource(0.0, 1.0), 0.5, 2,
                   literal_paper_indexing=True),
+    StaggeredSpec(GaussianSource(0.0, 1.0), 0.25, 4),
+    StaggeredSpec(UniformSource(0.0, 1.0), 0.25, 1, origin=0.125),
+    StaggeredSpec(UniformSource(0.0, 1.0), 1.0, 64),
 ]
 
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("spec", PIPELINE_SPECS,
-                         ids=["uniform", "gauss", "circle", "gauss-literal"])
+                         ids=["uniform", "gauss", "circle", "gauss-literal",
+                              "gauss-mc", "uniform-n1", "uniform-n64"])
 def test_pipeline_matches_reference(spec, samples):
     got = simulate_pipeline(spec, samples, SampleStreams(29))
     want = reference_pipeline(spec, samples, SampleStreams(29))
@@ -253,6 +260,18 @@ def test_chunk_length_changes_no_decoder_error(monkeypatch, samples):
     assert messages[0] == messages[1] == messages[2]
 
 
+def test_runs_share_no_scratch():
+    # A, then B (other offsets, table and chunk length) and a circle run,
+    # then A again
+    a = StaggeredSpec(GaussianSource(0.0, 1.0), 0.25, 4)
+    b = StaggeredSpec(UniformSource(0.0, 1.0), 1.0, 64)
+    first = simulate_pipeline(a, 3000, SampleStreams(41))
+    simulate_pipeline(b, 20480, SampleStreams(43))
+    simulate_staggered_circle(5, 3, 1000, SampleStreams(43))
+    again = simulate_pipeline(a, 3000, SampleStreams(41))
+    assert dataclasses.asdict(again) == dataclasses.asdict(first)
+
+
 class _IndexStreams:
     """Streams whose block 'generator' is the block index itself."""
 
@@ -264,17 +283,21 @@ class _IndexStreams:
 def test_failing_chunk_raises_what_its_first_faulty_block_raises(monkeypatch):
     # block k draws k; a step checks 'high' (k == 4) before 'low' (k >= 2),
     # so a whole chunk would name block 4, the block-by-block loop block 2
-    def draw(k, size):
-        return (np.full(size, k),)
+    def draw(k, out):
+        out.fill(k)
 
-    def step(v):
+    def step(v, out):
         if np.any(v == 4):
             raise ValueError("high block 4")
         if np.any(v >= 2):
             raise ValueError(f"low block {v[v >= 2][0]}")
-        return v * 0.0, v, v * 1.0
+        err2, bins, recon = out
+        err2.fill(0.0)
+        bins[...] = v
+        recon[...] = v
 
     for chunk_blocks in _chunk_lengths():
         monkeypatch.setattr(metrics, "CHUNK_BLOCKS", chunk_blocks)
         with pytest.raises(ValueError, match="^low block 2$"):
-            metrics.simulate_chunks(_IndexStreams(), 8 * BLOCK, draw, step, 8)
+            metrics.simulate_chunks(_IndexStreams(), 8 * BLOCK, draw, step, 8,
+                                    (np.int64,))

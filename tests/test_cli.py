@@ -269,6 +269,14 @@ def far(flag):
     pytest.param(["rdp-frontier", "--points", "65537"],
                  "rdplab: error: --points must lie in [1, 65536], got 65537\n",
                  id="points-cap"),
+    # a circle simulation's count array is L long: capped before any draw
+    pytest.param(["circle-simulate", "--L", "1048577", "--samples", "10"],
+                 "rdplab: error: levels (--L) must lie in [1, 1048576] for "
+                 "circle-staggered, got 1048577\n", id="staggered-levels-cap"),
+    pytest.param(["circle-simulate", "--dithered", "--L", "1048577",
+                  "--samples", "10"],
+                 "rdplab: error: levels (--L) must lie in [1, 1048576] for "
+                 "circle-dithered, got 1048577\n", id="dithered-levels-cap"),
 ])
 def test_oversized_allocation_exits_one(capsys, argv, message):
     # 2^53 elements exceed any address space, so numpy refuses at once;

@@ -2,7 +2,9 @@
 
 ``SampleStreams`` hashes the Philox keys of a whole range of blocks at
 once; each block's generator must still be the one numpy builds from
-``SeedSequence(seed, spawn_key=(k,))``.
+``SeedSequence(seed, spawn_key=(k,))``.  ``draw_offsets`` reads
+power-of-two offsets from raw Philox words; they must be the ones
+``Generator.integers`` draws.
 """
 
 import math
@@ -12,7 +14,7 @@ import pytest
 
 from rdplab import metrics
 from rdplab.circle import simulate_dithered_circle, simulate_staggered_circle
-from rdplab.rng import BLOCK, SampleStreams
+from rdplab.rng import BLOCK, SampleStreams, draw_offsets
 from rdplab.sources import GaussianSource
 from rdplab.stagger import StaggeredSpec, simulate_pipeline
 
@@ -95,3 +97,47 @@ def test_negative_seed_is_refused_before_any_draw(run):
     # numpy's own refusal came only at the first draw, naming no seed
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         run()
+
+
+OFFSET_SIZES = (1, 5, 1023, 1024)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4], ids=SEED_IDS[:4])
+def test_power_of_two_offsets_match_integers(seed):
+    # numpy's bounded method never rejects for n = 2^k <= 2^32; this test
+    # fails first if numpy ever changes how it draws these integers
+    for k in range(33):
+        for size in OFFSET_SIZES:
+            got, want = numpy_block(seed, size), numpy_block(seed, size)
+            out = np.full(size, -1, dtype=np.int64)
+            assert draw_offsets(got, 2 ** k, out) is out
+            assert out.tolist() == want.integers(0, 2 ** k, size).tolist(), \
+                (k, size)
+            # the draws after the offsets are the same too
+            assert got.random(3).tolist() == want.random(3).tolist(), (k, size)
+
+
+class _NoRawWords:
+    """Generator stand-in that records ``integers`` calls and refuses to
+    hand out its raw words."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def integers(self, *args):
+        self.calls.append(args)
+        return self.rng.integers(*args)
+
+    @property
+    def bit_generator(self):
+        raise AssertionError("raw words read for an n that may reject")
+
+
+@pytest.mark.parametrize("n", [3, 5, 2 ** 33, 2 ** 40])
+def test_other_offset_counts_take_integers(n):
+    for size in OFFSET_SIZES:
+        got = _NoRawWords(numpy_block(3, size))
+        out = np.empty(size, dtype=np.int64)
+        draw_offsets(got, n, out)
+        assert got.calls == [(0, n, size)]
+        assert out.tolist() == numpy_block(3, size).integers(0, n, size).tolist()

@@ -31,6 +31,20 @@ def test_scalar_run_row_fields():
     assert row["rate_bits"] > 0 and 0 <= row["perception_ks"] <= 1
 
 
+@pytest.mark.parametrize("scheme", ["circle-staggered", "circle-dithered"])
+def test_circle_levels_are_capped_at_the_table_limit(scheme):
+    ExperimentConfig(scheme=scheme, levels=2 ** 20)
+    with pytest.raises(ValueError, match=r"^levels \(--L\) must lie in "
+                                         r"\[1, 1048576\]"):
+        ExperimentConfig(scheme=scheme, levels=2 ** 20 + 1)
+
+
+def test_circle_levels_cap_leaves_other_schemes_alone():
+    # the scalar and frontier schemes never read levels
+    for scheme in ("scalar-staggered", "frontier"):
+        ExperimentConfig(scheme=scheme, levels=2 ** 20 + 1)
+
+
 def test_frontier_scheme_row():
     cfg = ExperimentConfig(scheme="frontier", lam=2.0)
     row = run_experiment(cfg)[0]
