@@ -31,7 +31,7 @@ import numpy as np
 
 from .metrics import (ExperimentResult, ks_statistic, plugin_entropy,
                       simulate_chunks)
-from .rng import BLOCK, SampleStreams, draw_offsets
+from .rng import DOUBLES, Offsets, SampleStreams
 from .sources import CircleSource
 
 # Largest L of the one-shot frontier: its 2^16 points print in under 2 s
@@ -98,14 +98,13 @@ def simulate_staggered_circle(levels: int, offsets: int, samples: int,
     """
     if levels < 1 or offsets < 1:
         raise ValueError("levels and offsets must be >= 1")
-    index = np.empty(BLOCK, dtype=np.int64)
 
-    def draw_offset(rng, out):
-        n = draw_offsets(rng, offsets, index[:out.size])
-        np.multiply(n, math.tau, out=out)
-        out /= levels * offsets
+    def to_angle(n):
+        n *= math.tau
+        n /= levels * offsets
 
-    return _simulate_circle(levels, samples, streams, draw_offset,
+    return _simulate_circle(levels, samples, streams,
+                            Offsets(offsets, np.float64), to_angle,
                             noise_half=math.pi / (levels * offsets),
                             rate_bits=None)
 
@@ -123,38 +122,41 @@ def simulate_dithered_circle(levels: int, samples: int,
         raise ValueError("levels must be >= 1")
     cell = math.tau / levels
 
-    def draw_offset(rng, out):
-        np.subtract(0.5, rng.random(out=out), out=out)
-        out *= cell
+    def to_dither(u):
+        np.subtract(0.5, u, out=u)
+        u *= cell
 
-    return _simulate_circle(levels, samples, streams, draw_offset,
+    return _simulate_circle(levels, samples, streams, DOUBLES, to_dither,
                             noise_half=0.0, rate_bits=math.log2(levels))
 
 
-def _simulate_circle(levels, samples, streams, draw_offset, noise_half,
-                     rate_bits):
-    """Per sample: draw theta uniform and the shared grid offset, transmit
-    the nearest cell of the offset L-cell grid, reconstruct at its center
-    plus private noise uniform on (-noise_half, noise_half), if nonzero.
-    A ``rate_bits`` of None reports the index entropy as the rate.
+def _simulate_circle(levels, samples, streams, offset_draw, to_offset,
+                     noise_half, rate_bits):
+    """Per sample: draw theta uniform and the shared grid offset (by
+    ``offset_draw``, mapped in place by ``to_offset``), transmit the nearest
+    cell of the offset L-cell grid, reconstruct at its center plus private
+    noise uniform on (-noise_half, noise_half), if nonzero.  A
+    ``rate_bits`` of None reports the index entropy as the rate.
+
+    The offset lies within half a cell of 0 and theta in [-pi, pi], so the
+    cell index i stays within L//2 + 1 of 0; the step counts bin
+    i + L//2 + 2, always in range, and the run folds the bins modulo L.
     """
     cell = math.tau / levels
+    shift = levels // 2 + 2
 
-    def draw(rng, theta, offset, *noise):
-        rng.random(out=theta)
+    def prepare(theta, offset, *noise):
         theta *= math.tau
         theta -= math.pi
-        draw_offset(rng, offset)
-        if noise_half:
-            rng.random(out=noise[0])
+        to_offset(offset)
 
     def step(theta, offset, *noise, out):
-        err2, idx, theta_hat = out
+        err2, bins, theta_hat = out
         t = np.subtract(theta, offset, out=err2)
         t /= cell
         t += 0.5
-        np.copyto(idx, np.floor(t, out=t), casting="unsafe")
-        center = np.multiply(idx, cell, out=err2)
+        np.add(np.floor(t, out=t), shift, out=bins, casting="unsafe")
+        center = np.multiply(t, cell, out=err2)
         center += offset
         if noise_half:
             arc = np.multiply(noise[0], 2.0, out=theta_hat)
@@ -165,10 +167,11 @@ def _simulate_circle(levels, samples, streams, draw_offset, noise_half,
         cos = np.cos(np.subtract(theta, theta_hat, out=err2), out=err2)
         cos *= 2.0
         np.subtract(2.0, cos, out=err2)
-        np.remainder(idx, levels, out=idx)
 
+    draws = (DOUBLES, offset_draw) + ((DOUBLES,) if noise_half else ())
     dist, counts, recon = simulate_chunks(
-        streams, samples, draw, step, levels, (float,) * (3 if noise_half else 2))
+        streams, samples, draws, prepare, step, 2 * shift + 1)
+    counts = _fold(counts, shift, levels)
     index_entropy = plugin_entropy(counts)
     return ExperimentResult(
         rate_bits=index_entropy if rate_bits is None else rate_bits,
@@ -180,6 +183,20 @@ def _simulate_circle(levels, samples, streams, draw_offset, noise_half,
         mc_radius_mse=dist.mc_radius(),
         index_entropy_bits=index_entropy,
     )
+
+
+def _fold(bin_counts, shift, levels):
+    """Counts of the cell indices i mod ``levels`` from the counts of the
+    bins b = i + shift: bin 0 counts index -shift mod levels, and the bins
+    after it follow in runs of ``levels``."""
+    counts = np.zeros(levels, dtype=np.int64)
+    first = -shift % levels             # the index bin 0 counts
+    head = min(levels - first, bin_counts.size)
+    counts[first:first + head] += bin_counts[:head]
+    for b in range(head, bin_counts.size, levels):
+        run = bin_counts[b:b + levels]
+        counts[:run.size] += run
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 Distortion moments (:class:`RunningMoments`), the entropy of a probability
 vector and its plug-in form on count tables, the KS perception statistic
 with its acceptance threshold, and :func:`simulate_chunks`, the one engine
-every simulator runs: each 1024-sample block draws from its own substream
-straight into its slice of the chunk arrays, and the simulator's
-arithmetic, its guards and the moment updates run once per chunk of
-CHUNK_BLOCKS blocks, in place in scratch arrays the engine allocates once
-per run.  Moments are still merged block by block, so no chunk length
-changes a result.
+every simulator runs: each 1024-sample block takes its raw Philox words
+from its own substream in one ``random_raw`` call (see ``rng``) and
+copies them into the chunk arrays.  Once per chunk of CHUNK_BLOCKS blocks
+the words become uniforms and offsets, the simulator's affine maps run,
+and then its arithmetic, its guards and the moment updates, in place in
+arrays the engine allocates once per run.  Moments are still merged block
+by block, so no chunk length changes a result.
 """
 
 from __future__ import annotations
@@ -117,40 +118,61 @@ class RunningMoments:
         return 3.0 * math.sqrt(self.variance()) / math.sqrt(self.n)
 
 
-def simulate_chunks(streams, samples: int, draw, step, n_bins: int,
-                    dtypes, work: int = 0):
+def simulate_chunks(streams, samples: int, draws, prepare, step,
+                    n_bins: int, work: int = 0):
     """Run one Monte Carlo simulation over the sample blocks of ``streams``.
 
     Every array is allocated once per run, with min(samples, chunk) rows
-    for a chunk of CHUNK_BLOCKS blocks: one chunk array per dtype in
-    ``dtypes`` for the random inputs, the squared errors (float), the bins
-    (int64) and ``work`` float scratch arrays, besides the reconstructions
-    of all samples.  ``draw(rng, *outs)`` writes one block's random inputs,
-    drawn from the block's own substream, into ``outs``, its slices of the
-    input arrays.  ``step(*inputs, out=(err2, bins, recon, *work))``
-    simulates a chunk: it writes per-sample squared errors, integer bins in
-    [0, n_bins) and reconstructions into the first three arrays of ``out``,
-    and may use all of them as scratch, but never writes into its inputs.
-    So a chunk that raises is replayed block by block from the same arrays
-    and raises what its first faulty block raises.  Returns the distortion
-    moments (merged block by block), the bin counts and the
-    reconstructions of all samples in sample order.
+    for a chunk of CHUNK_BLOCKS blocks: one zeroed input array per draw in
+    ``draws`` (``rng.DOUBLES``, ``rng.NORMALS`` or ``rng.Offsets``, in draw
+    order), the squared errors (float), the bins (int64) and ``work`` float
+    scratch arrays, besides the reconstructions of all samples.  Each
+    block, from its own substream, makes the generator calls of its draws
+    straight into its slices of the input arrays, and takes the raw words
+    of each run of other draws between them in one ``random_raw`` call.  A
+    draw keeps its words in its own input array or, for one draw at most,
+    in the squared-error array.  Once per chunk the draws turn their words
+    into numbers and ``prepare(*inputs)`` maps them in place.  Then
+    ``step(*inputs, out=(err2, bins, recon, *work))`` simulates the chunk:
+    it writes per-sample squared errors, integer bins in [0, n_bins) and
+    reconstructions into the first three arrays of ``out``, and may use
+    all of them as scratch, but never writes into its inputs.  So a chunk
+    that raises is replayed block by block from the same arrays and raises
+    what its first faulty block raises.  Bins are counted with
+    ``np.bincount``, or with ``np.add.at`` when there are more bins than
+    rows.  Returns the distortion moments (merged block by block), the bin
+    counts and the reconstructions of all samples in sample order.
     """
     chunk = CHUNK_BLOCKS * BLOCK
     rows = min(chunk, samples)
-    inputs = [np.empty(rows, dtype) for dtype in dtypes]
+    inputs = [np.zeros(rows, draw.dtype) for draw in draws]
     err2, bins = np.empty(rows), np.empty(rows, dtype=np.int64)
+    # the squared errors are written only after the words became numbers
+    words = [draw.word_array(buf, err2) for draw, buf in zip(draws, inputs)]
     scratch = [np.empty(rows) for _ in range(work)]
     recon = np.empty(samples)
     dist = RunningMoments()
     counts = np.zeros(n_bins, dtype=np.int64)
+    full = _block_plan(draws, words, BLOCK)
     for k, size, rng in streams.iter_blocks(samples):
         at = k * BLOCK % chunk              # the block's place in its chunk
-        draw(rng, *(buf[at:at + size] for buf in inputs))
+        for call, i, copies in (full if size == BLOCK
+                                else _block_plan(draws, words, size)):
+            if call is not None:
+                call(rng, inputs[i][at:at + size])
+                continue
+            raw = rng.bit_generator.random_raw(i)
+            for draw, dest, start, stop in copies:
+                w = draw.words(at)
+                dest[w:w + stop - start] = raw[start:stop]
         filled, drawn = at + size, k * BLOCK + size
         if filled < chunk and drawn < samples:
             continue
         views = [buf[:filled] for buf in inputs]
+        for draw, w, v in zip(draws, words, views):
+            if w is not None:
+                draw.numbers(w[:draw.words(filled)], v)
+        prepare(*views)
         out = [err2[:filled], bins[:filled], recon[drawn - filled:drawn],
                *(buf[:filled] for buf in scratch)]
         try:
@@ -161,8 +183,32 @@ def simulate_chunks(streams, samples: int, draw, step, n_bins: int,
                      out=[o[b:b + BLOCK] for o in out])
             raise
         dist.update(out[0], BLOCK, overwrite_values=True)
-        counts += np.bincount(out[1], minlength=n_bins)
+        if n_bins > rows:       # a bincount would be longer than the chunk
+            np.add.at(counts, out[1], 1)
+        else:
+            counts += np.bincount(out[1], minlength=n_bins)
     return dist, counts, recon
+
+
+def _block_plan(draws, words, size: int):
+    """The draws of one block of ``size`` samples, in order: a generator
+    call ``(draw, input index, None)`` per draw that makes one, and one
+    ``(None, word count, copies)`` per run of word draws between them,
+    each copy ``(draw, word array, start, stop)`` taking the words
+    start .. stop-1 of the run's ``random_raw`` call."""
+    plan, copies, total = [], [], 0
+    for i, (draw, dest) in enumerate(zip(draws, words)):
+        if draw.draw is not None:
+            if copies:
+                plan.append((None, total, copies))
+                copies, total = [], 0
+            plan.append((draw.draw, i, None))
+        elif dest is not None:
+            copies.append((draw, dest, total, total + draw.words(size)))
+            total = copies[-1][3]
+    if copies:
+        plan.append((None, total, copies))
+    return plan
 
 
 def entropy_bits(probs) -> float:

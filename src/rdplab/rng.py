@@ -26,16 +26,27 @@ fresh SeedSequence and Philox (2-core box, numpy 2.4).  The keys, and so
 every draw, are bit-identical to numpy's own derivation;
 ``tests/test_rng.py`` pins them against it.
 
-Offsets.  The staggered coders draw a shared offset index in [0, N) per
-sample.  :func:`draw_offsets` writes a block's offsets into the caller's
-array with the bits of ``Generator.integers(0, N, size)``.  For a
-power-of-two N up to 2^32 it reads them straight from the raw Philox
-words: numpy's bounded-integer method (Lemire, ACM TOMACS 2019) never
-rejects for such N, so each offset is the top log2 N bits of one 32-bit
-half-word.  In the block loop, on fresh generators, 1024 offsets took
-about 12 us this way against 19 us through ``integers`` (2-core box,
-numpy 2.4).  ``tests/test_rng.py`` pins it against ``integers`` and fails
-first if numpy ever changes its method.
+Words.  A block draws its inputs in a fixed order: the source value x,
+the offset index (staggered coders) and the decoder's uniform (pipeline),
+or the angle, the offset or dither and the private noise (circle coders).
+Every uniform on [0, 1) is one raw 64-bit Philox word w, as
+``Generator.random`` draws it: (w >> 11) * 2^-53.  A power-of-two offset
+count N up to 2^32 takes one 32-bit half-word per offset, low half first,
+so ceil(size/2) words per block: numpy's bounded-integer method (Lemire,
+ACM TOMACS 2019) never rejects for such N, and the offset is the top
+log2 N bits of the half.  N = 1 draws nothing.  So a block of ``size``
+samples that draws only these takes all of its words in one
+``random_raw`` call, laid out kind after kind in draw order, and the
+engine (``metrics.simulate_chunks``) copies each kind's words into its
+chunk array.  Only two draws remain generator calls per block, and they
+split the words into one ``random_raw`` call before and one after them:
+``standard_normal`` for a Gaussian x, whose ziggurat must stay numpy's,
+and ``integers`` for an offset count that may reject.  Once per chunk,
+:func:`doubles` and :func:`offsets` turn the chunk's words into numbers
+with numpy's bits; :data:`DOUBLES`, :data:`NORMALS` and :class:`Offsets`
+tell the engine how each input is drawn.  ``tests/test_rng.py`` pins the
+helpers against ``Generator.random`` and ``Generator.integers`` and fails
+first if numpy ever changes either method.
 """
 
 from __future__ import annotations
@@ -86,32 +97,118 @@ class _BlockKey(ISeedSequence):
         return self.key
 
 
-def draw_offsets(rng: np.random.Generator, n: int, out: np.ndarray
-                 ) -> np.ndarray:
-    """Write ``rng.integers(0, n, out.size)`` into the int64 array ``out``,
-    bit for bit, and return ``out``.
-
-    For a power-of-two n <= 2^32, numpy multiplies each 32-bit word by n
-    and keeps the high word; the low word never falls below its rejection
-    threshold (2^32 - n) mod n = 0, so the offsets are the top log2 n bits
-    of the words, low half first from each 64-bit Philox output.  n = 1
-    draws nothing, as numpy does.  Any other n may reject and redraw, so it
-    keeps ``integers``.  Later draws of doubles (``random``,
-    ``standard_normal``) match those after ``integers``; a later 32-bit
-    draw would not, since ``integers`` keeps the spare half of an odd
-    count.  ``rng`` must hold no spare half when called: every generator of
-    this package draws doubles or offsets only.
-    """
-    if n == 1:
-        out.fill(0)
-    elif 1 < n <= 1 << 32 and n & (n - 1) == 0:
-        words = rng.bit_generator.random_raw((out.size + 1) // 2)
-        halves = words.astype("<u8", copy=False).view("<u4")[:out.size]
-        halves >>= 33 - int(n).bit_length()
-        out[...] = halves
-    else:
-        out[...] = rng.integers(0, n, out.size)
+def doubles(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``Generator.random``'s doubles on [0, 1) of the raw Philox words:
+    (w >> 11) * 2^-53, exact.  ``out`` (float64) receives them in place of
+    a fresh array; ``words`` may be its own memory, ``out.view(np.uint64)``,
+    and is then overwritten."""
+    if out is None:
+        out = np.empty(np.shape(words))
+    top = np.right_shift(words, 11, out=out.view(np.uint64))
+    # below 2^53 the cast is exact; copyto casts in place element by
+    # element, where a ufunc would copy the overlapping input first
+    np.copyto(out, top, casting="unsafe")
+    out *= 2.0 ** -53
     return out
+
+
+def offsets(words: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """``Generator.integers(0, n, out.size)`` for a power-of-two n in
+    [2, 2^32] from its raw words (ceil(out.size / 2) little-endian uint64,
+    shifted in place), written into ``out`` (any integer or float dtype)
+    and returned.
+
+    numpy multiplies each 32-bit half-word by n and keeps the high word;
+    the low word never falls below its rejection threshold
+    (2^32 - n) mod n = 0, so the offsets are the top log2 n bits of the
+    halves, low half first from each word.
+    """
+    halves = words.view("<u4")[:out.size]
+    halves >>= 33 - int(n).bit_length()
+    # a plain cast: a ufunc writing another dtype would buffer it
+    np.copyto(out, halves)
+    return out
+
+
+# The engine's draws.  Each one names the dtype of its input array and
+# ``word_array(inputs, spare)``, where the engine copies its raw words
+# (None for none): in the input array itself, or in ``spare``, a float
+# array as long as the inputs that the engine does not use until the
+# words are numbers.  ``draw(rng, out)``, unless None, is its generator
+# call per block.  A draw with words takes ``words(size)`` of them per
+# block of ``size`` samples, and ``numbers(words, out)`` turns a chunk's
+# words into its numbers.
+
+class _Doubles:
+    """Uniforms on [0, 1): one raw word per sample, kept in the memory of
+    the chunk array they turn into."""
+
+    dtype = np.float64
+    draw = None
+
+    @staticmethod
+    def words(size: int) -> int:
+        return size
+
+    @staticmethod
+    def word_array(inputs: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        return inputs.view(np.uint64)
+
+    numbers = staticmethod(doubles)
+
+
+class _Normals:
+    """Standard normals: numpy's ziggurat, one ``standard_normal`` call per
+    block straight into the block's slice."""
+
+    dtype = np.float64
+
+    @staticmethod
+    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.standard_normal(out=out)
+
+    @staticmethod
+    def word_array(inputs: np.ndarray, spare: np.ndarray) -> None:
+        return None
+
+
+DOUBLES, NORMALS = _Doubles(), _Normals()
+
+
+@dataclass(frozen=True)
+class Offsets:
+    """Offset indices in [0, n), as ``Generator.integers(0, n, size)``
+    draws them, in an input array of ``dtype``.  A power-of-two n <= 2^32
+    takes ceil(size/2) raw words per block, kept in the engine's spare
+    array and made numbers per chunk by :func:`offsets`; n = 1 draws
+    nothing and leaves the engine's zeros; any other n may reject and
+    redraw, so it calls ``integers`` per block."""
+
+    n: int
+    dtype: type = np.int64
+
+    @property
+    def _raw(self) -> bool:
+        return 1 < self.n <= 1 << 32 and self.n & (self.n - 1) == 0
+
+    def words(self, size: int) -> int:
+        return (size + 1) // 2 if self._raw else 0
+
+    @property
+    def draw(self):
+        return None if self.n == 1 or self._raw else self._integers
+
+    def _integers(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        out[...] = rng.integers(0, self.n, out.size)
+
+    def word_array(self, inputs: np.ndarray, spare: np.ndarray
+                   ) -> np.ndarray | None:
+        if not self._raw:
+            return None
+        return spare.view("<u8")[:self.words(spare.size)]
+
+    def numbers(self, words: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return offsets(words, self.n, out)
 
 
 @dataclass(frozen=True)

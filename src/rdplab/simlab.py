@@ -86,7 +86,7 @@ class ExperimentConfig:
             raise ValueError("samples must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # the engine's count array and each chunk's bincount are L long
+        # the engine counts about L bins per run, and its entropy reads them
         if (self.scheme in ("circle-staggered", "circle-dithered")
                 and self.levels > stagger.MAX_TABLE_CODES):
             raise ValueError(

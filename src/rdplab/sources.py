@@ -20,7 +20,10 @@ array they are given and return numpy's result: a scalar gives a scalar
 ``sample(rng, size=None, out=None)`` and ``quantile(u, out=None)`` write
 into ``out``, when given, rather than a fresh array, with the same bits,
 and so does ``draw_truncated``: the Monte Carlo engine draws and decodes
-into arrays it allocates once per run.
+into arrays it allocates once per run.  The engine does not call
+``sample``: it draws each law's ``standard`` variate (``rng.DOUBLES`` or
+``rng.NORMALS``) and maps a whole chunk of them in place with
+``from_standard``, the map ``sample`` applies.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
+
+from .rng import DOUBLES, NORMALS
 
 # Tails beyond mu +/- 10 sigma carry < 1.6e-23 mass, negligible against
 # every tolerance used in this package; boundary tables stop there.
@@ -51,7 +56,9 @@ SERIES_ORDER = 24
 
 
 def _check_unit_interval(u):
-    if np.any(u < 0.0) or np.any(u >= 1.0):
+    # fmin and fmax skip NaN, as the comparisons do; empty arrays pass
+    if (np.fmin.reduce(u, axis=None, initial=math.inf) < 0.0
+            or np.fmax.reduce(u, axis=None, initial=-math.inf) >= 1.0):
         raise ValueError("quantile argument must lie in [0, 1)")
 
 
@@ -84,11 +91,16 @@ class UniformSource:
         x += self.lo
         return x
 
+    standard = DOUBLES
+
     def sample(self, rng: np.random.Generator, size=None, out=None):
-        x = rng.random(size, out=out)
-        x *= self.hi - self.lo
-        x += self.lo
-        return x
+        return self.from_standard(rng.random(size, out=out))
+
+    def from_standard(self, u):
+        """The law's values of uniforms u on [0, 1), in place for arrays."""
+        u *= self.hi - self.lo
+        u += self.lo
+        return u
 
     def mean_var_on(self, a, b):
         """Mean and variance of the law restricted to [a, b]."""
@@ -142,11 +154,16 @@ class GaussianSource:
         x += self.mu
         return x
 
+    standard = NORMALS
+
     def sample(self, rng: np.random.Generator, size=None, out=None):
-        x = rng.standard_normal(size, out=out)
-        x *= self.sigma
-        x += self.mu
-        return x
+        return self.from_standard(rng.standard_normal(size, out=out))
+
+    def from_standard(self, z):
+        """The law's values of standard normals z, in place for arrays."""
+        z *= self.sigma
+        z += self.mu
+        return z
 
     def mean_var_on(self, a, b):
         """Truncated-normal mean and variance on [a, b].

@@ -36,7 +36,7 @@ from .metrics import (ExperimentResult, avg_conditional_entropy, entropy_bits,
                       ks_statistic, plugin_entropy, simulate_chunks)
 # kept for benchmarks/tracing.py, which patches it (ROADMAP item 1)
 from .quadrature import adaptive_simpson  # noqa: F401
-from .rng import SampleStreams, draw_offsets
+from .rng import DOUBLES, Offsets, SampleStreams
 from .sources import DEGENERATE_MASS, SourceModel, draw_truncated
 
 # Codes carrying less probability than this are excluded from boundary
@@ -105,7 +105,7 @@ def encode(spec: StaggeredSpec, x, n, out=None, work=None):
     indices and the arithmetic in place of fresh arrays; n/N borrows the
     memory of ``out`` until the indices overwrite it.
     """
-    if np.any(n < 0) or np.any(n >= spec.n_offsets):
+    if np.min(n, initial=0) < 0 or np.max(n, initial=0) >= spec.n_offsets:
         raise ValueError(f"offset index out of range [0, {spec.n_offsets})")
     t = np.subtract(x, spec.origin, out=work)
     t = np.divide(t, spec.delta, out=work)
@@ -382,10 +382,8 @@ def simulate_pipeline(spec: StaggeredSpec, samples: int,
     table = build_boundaries(spec)
     n_off = spec.n_offsets
 
-    def draw(rng, x, n, u):
-        spec.source.sample(rng, out=x)
-        draw_offsets(rng, n_off, n)
-        rng.random(out=u)
+    def prepare(x, n, u):
+        spec.source.from_standard(x)
 
     def step(x, n, u, out):
         err2, k, xhat, *work = out
@@ -397,9 +395,9 @@ def simulate_pipeline(spec: StaggeredSpec, samples: int,
         _decode_rows(table, k, u, out=xhat, work=(err2, *work))
         np.square(np.subtract(x, xhat, out=err2), out=err2)
 
-    dist, counts, recon = simulate_chunks(streams, samples, draw, step,
-                                          table.codes.size,
-                                          (float, np.int64, float), work=2)
+    draws = (spec.source.standard, Offsets(n_off), DOUBLES)
+    dist, counts, recon = simulate_chunks(streams, samples, draws, prepare,
+                                          step, table.codes.size, work=2)
     # code j belongs to offset j mod N, so the counts split by offset
     offset_of = np.mod(table.codes, n_off)
     per_offset = (counts[offset_of == n] for n in range(n_off))

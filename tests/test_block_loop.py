@@ -280,12 +280,23 @@ class _IndexStreams:
             yield k, min(BLOCK, n_samples - k * BLOCK), k
 
 
-def test_failing_chunk_raises_what_its_first_faulty_block_raises(monkeypatch):
-    # block k draws k; a step checks 'high' (k == 4) before 'low' (k >= 2),
-    # so a whole chunk would name block 4, the block-by-block loop block 2
+class _IndexDraw:
+    """Draw that fills its block's slice with the block 'generator'."""
+
+    dtype = np.int64
+
+    @staticmethod
+    def word_array(inputs, spare):
+        return None
+
+    @staticmethod
     def draw(k, out):
         out.fill(k)
 
+
+def test_failing_chunk_raises_what_its_first_faulty_block_raises(monkeypatch):
+    # block k draws k; a step checks 'high' (k == 4) before 'low' (k >= 2),
+    # so a whole chunk would name block 4, the block-by-block loop block 2
     def step(v, out):
         if np.any(v == 4):
             raise ValueError("high block 4")
@@ -299,5 +310,5 @@ def test_failing_chunk_raises_what_its_first_faulty_block_raises(monkeypatch):
     for chunk_blocks in _chunk_lengths():
         monkeypatch.setattr(metrics, "CHUNK_BLOCKS", chunk_blocks)
         with pytest.raises(ValueError, match="^low block 2$"):
-            metrics.simulate_chunks(_IndexStreams(), 8 * BLOCK, draw, step, 8,
-                                    (np.int64,))
+            metrics.simulate_chunks(_IndexStreams(), 8 * BLOCK,
+                                    (_IndexDraw(),), lambda v: None, step, 8)

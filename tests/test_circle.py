@@ -1,16 +1,21 @@
+import io
 import math
+import tracemalloc
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdplab import circle
 from rdplab.circle import (MAX_FRONTIER_LEVELS, FrontierPoint,
                            one_shot_frontier, simulate_dithered_circle,
                            simulate_staggered_circle, staggered_circle_rd,
                            two_cell_objective, two_cell_objective_prime,
                            verify_two_cell_optimality, wrap_angle)
 from rdplab.metrics import ks_threshold
+from rdplab.cli import cli_dispatch
 from rdplab.rng import SampleStreams
 
 BASELINE_DETERMINISTIC = 2.0 - 8.0 / math.pi ** 2     # L=2, N=1
@@ -184,3 +189,42 @@ def test_two_cell_input_validation():
             verify_two_cell_optimality(0.5, lam, 100)
     with pytest.raises(ValueError):
         verify_two_cell_optimality(0.5, 10.0, 2)
+
+
+def test_circle_at_the_levels_cap_counts_without_a_chunk_long_bincount(
+        monkeypatch):
+    # 2^20 cells and 2^20 samples: a bincount per chunk would add a fresh
+    # 8 MiB array to the run's 8 MiB reconstructions and 8 MiB counts
+    peaks = []
+    engine = circle.simulate_chunks
+
+    def measured(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return engine(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(circle, "simulate_chunks", measured)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli_dispatch(["circle-simulate", "--L", "1048576", "--N", "1",
+                             "--samples", "1048576", "--seed", "5"])
+    assert code == 0
+    assert out.getvalue().splitlines()[1:] == [
+        "circle-staggered,L=1048576;N=1,19.1715768,5.98522481e-12,"
+        "0.000610720785,monte-carlo,5,1048576"]
+    assert len(peaks) == 1 and peaks[0] < 22 * 2 ** 20
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4, 5, 7, 64])
+def test_bin_fold_counts_each_index_mod_levels(levels):
+    # the circle step counts bin i + shift for cell index i; the fold must
+    # give each i mod L its count, not a rotation of them (the entropy
+    # cannot tell the two apart)
+    shift = levels // 2 + 2
+    bins = np.random.default_rng(levels).integers(0, 1000, 2 * shift + 1)
+    index = np.arange(bins.size) - shift
+    want = np.bincount(index % levels, weights=bins, minlength=levels)
+    assert circle._fold(bins, shift, levels).tolist() == want.tolist()

@@ -7,15 +7,17 @@ power-of-two offsets from raw Philox words; they must be the ones
 ``Generator.integers`` draws.
 """
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from rdplab import metrics
 from rdplab.circle import simulate_dithered_circle, simulate_staggered_circle
-from rdplab.rng import BLOCK, SampleStreams, draw_offsets
-from rdplab.sources import GaussianSource
+from rdplab.rng import BLOCK, DOUBLES, Offsets, SampleStreams, doubles
+from rdplab.sources import GaussianSource, UniformSource
 from rdplab.stagger import StaggeredSpec, simulate_pipeline
 
 FAR = 10 ** 400 + 3                   # 401 digits: 42 entropy words
@@ -102,19 +104,49 @@ def test_negative_seed_is_refused_before_any_draw(run):
 OFFSET_SIZES = (1, 5, 1023, 1024)
 
 
+def engine_numbers(draw, rng, size):
+    """The numbers ``draw`` gives a block of ``size`` samples, made as the
+    engine makes them: zeroed input, generator call or raw words, then the
+    words turned into numbers."""
+    out = np.zeros(size, draw.dtype)
+    words = draw.word_array(out, np.empty(size))
+    if draw.draw is not None:
+        draw.draw(rng, out)
+    if words is not None:
+        words[...] = rng.bit_generator.random_raw(draw.words(size))
+        draw.numbers(words, out)
+    return out
+
+
 @pytest.mark.parametrize("seed", SEEDS[:4], ids=SEED_IDS[:4])
 def test_power_of_two_offsets_match_integers(seed):
     # numpy's bounded method never rejects for n = 2^k <= 2^32; this test
     # fails first if numpy ever changes how it draws these integers
     for k in range(33):
-        for size in OFFSET_SIZES:
-            got, want = numpy_block(seed, size), numpy_block(seed, size)
-            out = np.full(size, -1, dtype=np.int64)
-            assert draw_offsets(got, 2 ** k, out) is out
-            assert out.tolist() == want.integers(0, 2 ** k, size).tolist(), \
-                (k, size)
-            # the draws after the offsets are the same too
-            assert got.random(3).tolist() == want.random(3).tolist(), (k, size)
+        for dtype in (np.int64, np.float64):
+            for size in OFFSET_SIZES:
+                got, want = numpy_block(seed, size), numpy_block(seed, size)
+                out = engine_numbers(Offsets(2 ** k, dtype), got, size)
+                want_n = want.integers(0, 2 ** k, size)
+                assert out.dtype == dtype
+                assert out.tolist() == want_n.tolist(), (k, size)
+                # the draws after the offsets are the same too
+                assert got.random(3).tolist() == want.random(3).tolist(), \
+                    (k, size)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4], ids=SEED_IDS[:4])
+def test_doubles_match_random(seed):
+    for size in OFFSET_SIZES:
+        got, want = numpy_block(seed, size), numpy_block(seed, size)
+        out = engine_numbers(DOUBLES, got, size)
+        assert out.tolist() == want.random(size).tolist(), size
+        assert got.random(3).tolist() == want.random(3).tolist(), size
+        # a fresh array, and the caller's words left as they were
+        words = numpy_block(seed, size).bit_generator.random_raw(size)
+        kept = words.copy()
+        assert doubles(words).tolist() == out.tolist()
+        assert words.tolist() == kept.tolist()
 
 
 class _NoRawWords:
@@ -135,9 +167,79 @@ class _NoRawWords:
 
 @pytest.mark.parametrize("n", [3, 5, 2 ** 33, 2 ** 40])
 def test_other_offset_counts_take_integers(n):
+    draw = Offsets(n)
+    assert draw.word_array(np.empty(BLOCK, np.int64), np.empty(BLOCK)) is None
     for size in OFFSET_SIZES:
         got = _NoRawWords(numpy_block(3, size))
-        out = np.empty(size, dtype=np.int64)
-        draw_offsets(got, n, out)
+        out = engine_numbers(draw, got, size)
         assert got.calls == [(0, n, size)]
         assert out.tolist() == numpy_block(3, size).integers(0, n, size).tolist()
+
+
+class _CountingGenerator:
+    """Generator proxy that counts the calls made on it, raw words
+    included."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        self._calls["random_raw"] += 1
+        return self._rng.bit_generator.random_raw(size)
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+@dataclasses.dataclass(frozen=True)
+class _CountingStreams(SampleStreams):
+    """Streams whose blocks count their generator calls, one Counter per
+    block in ``calls``."""
+
+    calls: list = dataclasses.field(default_factory=list)
+
+    def block(self, index, key=None):
+        self.calls.append(Counter())
+        return _CountingGenerator(super().block(index, key), self.calls[-1])
+
+
+def _gauss(n):
+    return lambda s, samples: simulate_pipeline(
+        StaggeredSpec(GaussianSource(0.0, 1.0), 0.25, n), samples, s)
+
+
+def _uniform(n):
+    return lambda s, samples: simulate_pipeline(
+        StaggeredSpec(UniformSource(0.0, 1.0), 0.25, n, origin=0.125),
+        samples, s)
+
+
+@pytest.mark.parametrize("run, calls", [
+    (_gauss(4), {"standard_normal": 1, "random_raw": 1}),
+    (_gauss(3), {"standard_normal": 1, "integers": 1, "random_raw": 1}),
+    (_uniform(2), {"random_raw": 1}),
+    (_uniform(1), {"random_raw": 1}),
+    # integers splits the uniform x's words from the decoder's
+    (_uniform(3), {"random_raw": 2, "integers": 1}),
+    (lambda s, n: simulate_staggered_circle(2, 4, n, s), {"random_raw": 1}),
+    (lambda s, n: simulate_staggered_circle(3, 1, n, s), {"random_raw": 1}),
+    (lambda s, n: simulate_dithered_circle(4, n, s), {"random_raw": 1}),
+], ids=["gauss-n4", "gauss-n3", "uniform-n2", "uniform-n1", "uniform-n3",
+        "staggered-circle", "staggered-circle-n1", "dithered-circle"])
+def test_full_block_makes_one_call_per_kind_of_draw(run, calls):
+    # every word of a full block comes from one random_raw call; only
+    # numpy's ziggurat and offset counts that may reject call more
+    samples = 3 * BLOCK + 5
+    streams = _CountingStreams(7)
+    got = run(streams, samples)
+    assert len(streams.calls) == 4
+    for block in streams.calls[:3]:
+        assert block == Counter(calls)
+    assert dataclasses.asdict(got) == \
+        dataclasses.asdict(run(SampleStreams(7), samples))

@@ -96,6 +96,26 @@ def test_quantile_rejects_out_of_range():
             src.quantile(-0.1)
 
 
+def test_quantile_guard_accepts_what_the_comparisons_accept():
+    # the guard reduces with fmin/fmax; it must refuse exactly what
+    # any(u < 0) or any(u >= 1) refuses: NaN, -0.0 and empty arrays pass
+    values = [-0.0, 0.0, np.nextafter(1.0, 0.0), 1.0, -5e-324, math.nan]
+    cases = [v for v in values] + [np.float64(v) for v in values]
+    cases += [np.array([a, b]) for a in values for b in values]
+    cases += [np.array([]), np.array(values), np.array(0.5),
+              np.array([[0.2, 1.0]])]
+    for u in cases:
+        refused = bool(np.any(np.less(u, 0.0))
+                       or np.any(np.greater_equal(u, 1.0)))
+        for src in ALL_SOURCES:
+            try:
+                src.quantile(u)
+            except ValueError:
+                assert refused, (u, src)
+            else:
+                assert not refused, (u, src)
+
+
 def test_inverse_cdf_round_trip():
     rng = np.random.default_rng(42)
     u = rng.random(10_000)

@@ -81,6 +81,25 @@ def test_encode_rejects_bad_offset():
         encode(StaggeredSpec(UNIT, 1.0, 2), 0.0, 2)
 
 
+def test_encode_offset_guard_accepts_what_the_comparisons_accept():
+    # the guard reduces with min/max; it must refuse exactly the offsets
+    # outside [0, N), and pass empty arrays and scalars
+    spec = StaggeredSpec(UNIT, 0.5, 3)
+    values = [-(2 ** 63), -1, 0, 2, 3, 2 ** 63 - 1]
+    cases = values + [np.int64(v) for v in values]
+    cases += [np.array([a, b]) for a in values for b in values]
+    cases += [np.array([], dtype=np.int64), np.array(values), np.array(1)]
+    for n in cases:
+        refused = bool(np.any(np.less(n, 0)) or np.any(np.greater_equal(n, 3)))
+        x = np.zeros(np.shape(n))
+        try:
+            encode(spec, x, n)
+        except ValueError:
+            assert refused, n
+        else:
+            assert not refused, n
+
+
 def test_encode_and_cell_left_scalars_give_the_array_bits():
     # a scalar argument gives a numpy scalar with the bits of the matching
     # element of the array result, at ties, far outside and at large codes
