@@ -24,9 +24,15 @@ from .rng import BLOCK
 
 # Blocks per chunk of the Monte Carlo engine.  Timing the circle step on
 # 2^20 samples (2-core box), chunks of 16 to 64 blocks ran 1.6x faster
-# than single blocks, and 256 blocks slower again; a float chunk array of
-# 64 blocks is 0.5 MB.
-CHUNK_BLOCKS = 64
+# than single blocks, and 256 blocks slower again.  A float chunk array of
+# 32 blocks is 256 KiB, so a run's chunk arrays (five to seven of them,
+# plus its slice of the reconstructions) take 1.5-2 MiB and fit the
+# box's 2 MiB L2 cache per core; at 64 blocks they took 3-4 MiB.  With one
+# re-keyed Philox per run, alternating in-process cycles of the
+# benchmark's uniform-mc and gauss-mc calls ran 64 blocks slower than 32
+# in about 4 of 5 cycles (by 3-7% in the medians), and 16 blocks level
+# with 32 (faster in 32 of 60 cycles on each).
+CHUNK_BLOCKS = 32
 
 # Sorted values per KS window, the unit in which the KS statistic skips
 # the CDF (see ks_statistic).  After the sort, the Gaussian KS at 2^20
@@ -44,12 +50,21 @@ KS_SLICE = 1 << 16
 # when its bound comes within this of the largest term found so far.
 KS_SLACK = 2.0 ** -40
 
-# Asymptotic Kolmogorov-Smirnov critical coefficient at alpha = 0.01.
+# Asymptotic Kolmogorov-Smirnov critical coefficient at alpha = 0.01
+# (scipy.stats.kstwobign.isf(0.01) = 1.62762, rounded up).  The exact
+# finite-n coefficient, scipy.stats.kstwo.isf(0.01, n) * sqrt(n), lies
+# below it: 1.6081 at n = 100, 1.6257 at 2^13 and 1.6275 at 2^20.
 KS_COEFF_01 = 1.628
 
 
 def ks_threshold(n_samples: int) -> float:
-    """alpha = 0.01 acceptance threshold for the one-sample KS statistic."""
+    """alpha = 0.01 acceptance threshold for the one-sample KS statistic.
+
+    It uses the asymptotic coefficient KS_COEFF_01 at every n, which is
+    above the exact finite-n critical value, so the test is slightly
+    conservative: a sample of the law itself fails it a little less often
+    than 1 time in 100, most so at small n.
+    """
     return KS_COEFF_01 / math.sqrt(n_samples)
 
 
@@ -216,27 +231,44 @@ def entropy_bits(probs) -> float:
 
     Zero entries contribute nothing.
     """
-    p = probs[probs > 0]
+    return _entropy_of_positive(probs[probs > 0])
+
+
+def _entropy_of_positive(p, out=None) -> float:
+    """-sum p log2 p over positive ``p``, the terms written into ``out``
+    (a float array as long as ``p``, not overlapping it) when given."""
+    terms = np.log2(p, out=out)
+    terms *= p
     # 0.0 - x, not -x: a single cell gives +0.0 rather than -0.0
-    return float(0.0 - (p * np.log2(p)).sum())
+    return float(0.0 - terms.sum())
 
 
 def plugin_entropy(counts) -> float:
     """Plug-in entropy of an array of counts, in bits.
 
-    No bias correction is applied.  The estimate falls short of the
-    entropy by about (K - 1) / (2 n ln 2) bits for K cells with mass and n
-    counts: 1.5e-4 bits per offset for gauss:0,1 delta=0.25 N=4 at 2^20
-    samples (55 codes and about 2^18 samples per offset), which shows in
-    the 4th decimal of the rate.
+    No bias correction is applied, so the estimate falls short of the
+    entropy.  For gauss:0,1 delta=0.25 N=4 at 2^20 samples (55 codes per
+    offset, each offset's count Binomial(2^20, 1/4)) the exact expected
+    shortfall, a binomial sum over each code's count, is 1.099e-4 bits per
+    offset, which shows in the 4th decimal of the rate.  The Miller-Madow
+    estimate (K - 1) / (2 n ln 2) for K cells with mass and n counts gives
+    1.49e-4 there: it overstates the shortfall, since it assumes every
+    cell holds many counts, while about 19 of the 55 codes per offset have
+    n p < 1.
+
+    The counts become probabilities in one float copy, whose memory then
+    takes the terms: two L-long float arrays at most for L cells.
     """
-    values = np.asarray(counts, dtype=float).ravel()
+    # a copy, even of a float array: the caller's counts must not change
+    values = np.array(counts, dtype=float).ravel()
     if np.any(values < 0):
         raise ValueError("negative count")
     total = values.sum()
     if total < 1:
         raise ValueError("plugin_entropy needs a total count >= 1")
-    return entropy_bits(values / total)
+    values /= total
+    p = values[values > 0]
+    return _entropy_of_positive(p, out=values[:p.size])
 
 
 def avg_conditional_entropy(per_group_counts: Iterable) -> float:

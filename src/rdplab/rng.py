@@ -7,7 +7,7 @@ blocks of ``BLOCK`` draws; block ``k`` always uses the counter-based
 Monte Carlo engine (``metrics.simulate_chunks``) draws block by block
 straight into chunk arrays it allocates once per run, and
 ``tests/test_block_loop.py`` checks that every chunk length gives
-bit-identical results, each substream built once.  Seeds are
+bit-identical results, each block keyed once.  Seeds are
 non-negative integers of any size; a negative seed is refused when the
 streams are made.
 
@@ -19,12 +19,21 @@ is the pool of ``SeedSequence(seed)``, the same for every block, with the
 in.  :meth:`SampleStreams.keys` builds that pool once and then mixes and
 hashes the keys of a whole range of blocks in uint32 numpy arithmetic,
 with the multipliers of numpy's SeedSequence: 0.2 ms per 1024 keys, and
-one SeedSequence per range rather than one per block.  Each block's
-generator then takes its key through :class:`_BlockKey`, a minimal
-``ISeedSequence``, for about 9 us per block instead of about 27 us for a
-fresh SeedSequence and Philox (2-core box, numpy 2.4).  The keys, and so
-every draw, are bit-identical to numpy's own derivation;
-``tests/test_rng.py`` pins them against it.
+one SeedSequence per range rather than one per block.  A run then
+builds one generator, for its first block, which takes its key through
+:class:`_BlockKey`, a minimal ``ISeedSequence``.
+:meth:`SampleStreams.iter_blocks` re-keys that generator to each further
+block through :meth:`SampleStreams.block`, which sets numpy's public
+``bit_generator.state`` to exactly a freshly built block generator's: the
+block's key, counter 0, an empty buffer (``buffer_pos`` 4) and no spare
+32-bit half-word (``has_uint32`` and ``uinteger`` 0).  So a yielded
+generator is valid until the next block.  1024 re-keys take about
+2.3 ms, against about 4.5 ms to build 1024 generators from their keys and
+about 15 ms to build them from fresh SeedSequences (best of 30, 2-core
+box, numpy 2.4).  The keys, and so every draw, are bit-identical to numpy's own
+derivation; ``tests/test_rng.py`` pins them against it, pins a re-keyed
+generator's state and draws against a fresh one's, and fails first if
+numpy's Philox ever gains a state field the re-key does not set.
 
 Words.  A block draws its inputs in a fixed order: the source value x,
 the offset index (staggered coders) and the decoder's uniform (pipeline),
@@ -95,6 +104,15 @@ class _BlockKey(ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.key
+
+
+def _fresh_state(key) -> dict:
+    """The ``bit_generator.state`` of a Philox just built on ``key``:
+    counter 0, an empty buffer and no spare 32-bit half-word."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
 
 
 def doubles(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -246,18 +264,26 @@ class SampleStreams:
         return np.ascontiguousarray(state.T, dtype="<u4").view("<u8") \
             .astype(np.uint64)
 
-    def block(self, index: int, key: np.ndarray | None = None
-              ) -> np.random.Generator:
+    def block(self, index: int, key=None,
+              into: np.random.Generator | None = None) -> np.random.Generator:
         """Generator for the ``index``-th sample block; ``key``, when
-        given, must be ``self.keys(index, index + 1)[0]``."""
+        given, must be ``self.keys(index, index + 1)[0]`` or its
+        ``tolist()``.  With ``into``, a Philox generator, that generator
+        is re-keyed to the block and returned in place of a new one."""
         if key is None:
             key = self.keys(index, index + 1)[0]
-        return np.random.Generator(np.random.Philox(_BlockKey(key)))
+        if into is None:
+            return np.random.Generator(np.random.Philox(_BlockKey(key)))
+        into.bit_generator.state = _fresh_state(key)
+        return into
 
     def iter_blocks(self, n_samples: int):
-        """Yield ``(block_index, block_size, generator)`` covering n_samples."""
+        """Yield ``(block_index, block_size, generator)`` covering
+        n_samples.  One generator serves the whole run, re-keyed to each
+        block, so a yielded generator is valid until the next iteration."""
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        keys = self.keys(0, -(-n_samples // BLOCK))
-        for k, key in enumerate(keys):
-            yield k, min(BLOCK, n_samples - k * BLOCK), self.block(k, key)
+        rng = None
+        for k, key in enumerate(self.keys(0, -(-n_samples // BLOCK)).tolist()):
+            rng = self.block(k, key, rng)
+            yield k, min(BLOCK, n_samples - k * BLOCK), rng

@@ -235,9 +235,9 @@ def test_chunk_length_changes_no_result(monkeypatch, name, samples):
         monkeypatch.setattr(metrics, "CHUNK_BLOCKS", chunk_blocks)
         built = []
 
-        def block(self, index, key=None):
+        def block(self, index, key=None, into=None):
             built.append(index)
-            return original(self, index, key)
+            return original(self, index, key, into)
 
         monkeypatch.setattr(SampleStreams, "block", block)
         results.append(dataclasses.asdict(SIMULATORS[name](samples)))

@@ -194,28 +194,39 @@ def test_two_cell_input_validation():
 def test_circle_at_the_levels_cap_counts_without_a_chunk_long_bincount(
         monkeypatch):
     # 2^20 cells and 2^20 samples: a bincount per chunk would add a fresh
-    # 8 MiB array to the run's 8 MiB reconstructions and 8 MiB counts
-    peaks = []
+    # 8 MiB array to the run's 8 MiB reconstructions and 8 MiB counts, and
+    # an entropy with a float temporary per step would hold five 8 MiB
+    # arrays besides them (42.1 MiB for the whole run)
+    peaks, before = [], []
     engine = circle.simulate_chunks
 
     def measured(*args, **kwargs):
-        tracemalloc.start()
+        current, peak = tracemalloc.get_traced_memory()
+        before.append(peak)
+        tracemalloc.reset_peak()
         try:
             return engine(*args, **kwargs)
         finally:
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+            peaks.append(tracemalloc.get_traced_memory()[1] - current)
 
     monkeypatch.setattr(circle, "simulate_chunks", measured)
     out = io.StringIO()
-    with redirect_stdout(out):
-        code = cli_dispatch(["circle-simulate", "--L", "1048576", "--N", "1",
-                             "--samples", "1048576", "--seed", "5"])
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out):
+            code = cli_dispatch(["circle-simulate", "--L", "1048576",
+                                 "--N", "1", "--samples", "1048576",
+                                 "--seed", "5"])
+        # the peak since the engine began, or the one before it
+        whole = max(tracemalloc.get_traced_memory()[1], *before)
+    finally:
+        tracemalloc.stop()
     assert code == 0
     assert out.getvalue().splitlines()[1:] == [
         "circle-staggered,L=1048576;N=1,19.1715768,5.98522481e-12,"
         "0.000610720785,monte-carlo,5,1048576"]
     assert len(peaks) == 1 and peaks[0] < 22 * 2 ** 20
+    assert whole < 34 * 2 ** 20
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5, 7, 64])

@@ -75,6 +75,33 @@ def test_plugin_entropy_bounded_by_log_support(counts):
         assert h == pytest.approx(math.log2(k), abs=1e-12)
 
 
+def formula_plugin_entropy(counts):
+    """The plug-in entropy as whole-array formulas, one fresh array per
+    step: plugin_entropy must keep its bits."""
+    values = np.asarray(counts, dtype=float).ravel()
+    p = values / values.sum()
+    p = p[p > 0]
+    return float(0.0 - (p * np.log2(p)).sum())
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["random", "sparse", "float"])
+def test_plugin_entropy_keeps_the_formula_bits(seed, kind):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 1 << 17))
+    counts = rng.integers(0, 1000, size)
+    if kind == "sparse":                # mostly empty cells, a few counts
+        counts[rng.random(size) < 0.97] = 0
+        counts[0] += 1
+    if kind == "float":
+        counts = counts.astype(float)
+    kept = counts.copy()
+    assert plugin_entropy(counts) == formula_plugin_entropy(counts)
+    assert plugin_entropy(counts.reshape(1, -1)) == plugin_entropy(counts)
+    # the caller's counts, a float array included, are left as they were
+    assert counts.tolist() == kept.tolist()
+
+
 def test_avg_conditional_entropy():
     assert avg_conditional_entropy([[2, 2]]) == pytest.approx(1.0)
     groups = [[1, 3], [1, 3]]

@@ -1,10 +1,11 @@
 """Block substreams against numpy's own SeedSequence derivation.
 
 ``SampleStreams`` hashes the Philox keys of a whole range of blocks at
-once; each block's generator must still be the one numpy builds from
-``SeedSequence(seed, spawn_key=(k,))``.  ``draw_offsets`` reads
-power-of-two offsets from raw Philox words; they must be the ones
-``Generator.integers`` draws.
+once and re-keys one generator per run to each block in turn; each
+block's generator must still be the one numpy builds from
+``SeedSequence(seed, spawn_key=(k,))``.  ``doubles`` and ``offsets`` read
+uniforms and power-of-two offsets from raw Philox words; they must be the
+ones ``Generator.random`` and ``Generator.integers`` draw.
 """
 
 import dataclasses
@@ -16,7 +17,8 @@ import pytest
 
 from rdplab import metrics
 from rdplab.circle import simulate_dithered_circle, simulate_staggered_circle
-from rdplab.rng import BLOCK, DOUBLES, Offsets, SampleStreams, doubles
+from rdplab.rng import (BLOCK, DOUBLES, Offsets, SampleStreams, _fresh_state,
+                        doubles)
 from rdplab.sources import GaussianSource, UniformSource
 from rdplab.stagger import StaggeredSpec, simulate_pipeline
 
@@ -43,13 +45,58 @@ def assert_same_generator(got, want):
 
 @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
 def test_block_generators_match_numpy(seed):
+    # a yielded generator is valid until the next iteration, so each one
+    # is compared as it comes
     streams = SampleStreams(seed)
-    blocks = list(streams.iter_blocks(2048 * BLOCK))
-    assert [k for k, _, _ in blocks] == list(range(2048))
-    for k, _, rng in blocks:
+    seen = []
+    for k, _, rng in streams.iter_blocks(2048 * BLOCK):
+        seen.append(k)
         assert_same_generator(rng, numpy_block(seed, k))
+    assert seen == list(range(2048))
     for k in WIDE_BLOCKS:
         assert_same_generator(streams.block(k), numpy_block(seed, k))
+
+
+def plain_state(rng):
+    """A generator's ``bit_generator.state`` with its arrays as lists."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return plain(rng.bit_generator.state)
+
+
+def field_names(state):
+    return {k: field_names(v) if isinstance(v, dict) else None
+            for k, v in state.items()}
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
+@pytest.mark.parametrize("as_list", [True, False], ids=["tolist", "array"])
+def test_rekeyed_generator_is_a_fresh_block_generator(seed, as_list):
+    # a block leaves a spare 32-bit half-word and a part-used buffer; the
+    # next block's re-key must leave nothing of it
+    streams = SampleStreams(seed)
+    rng = streams.block(3)
+    rng.integers(0, 3, 1)
+    rng.bit_generator.random_raw(1)
+    used = rng.bit_generator.state
+    assert used["has_uint32"] == 1 and 0 < used["buffer_pos"] < 4
+    fresh = streams.block(7)
+    # fails first if numpy's Philox ever gains a state field the re-key
+    # does not set
+    assert field_names(fresh.bit_generator.state) == \
+        field_names(_fresh_state([0, 0]))
+    key = streams.keys(7, 8)
+    assert streams.block(7, key.tolist()[0] if as_list else key[0],
+                         into=rng) is rng
+    assert plain_state(rng) == plain_state(fresh)
+    assert rng.standard_normal(5).tolist() == fresh.standard_normal(5).tolist()
+    assert rng.random(3).tolist() == fresh.random(3).tolist()
+    assert rng.bit_generator.random_raw(3).tolist() == \
+        fresh.bit_generator.random_raw(3).tolist()
+    assert rng.integers(0, 7, 5).tolist() == fresh.integers(0, 7, 5).tolist()
+    assert plain_state(rng) == plain_state(fresh)
 
 
 @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
@@ -63,27 +110,34 @@ def test_keys_across_the_two_word_boundary(seed):
 
 
 def test_run_builds_one_seed_sequence_and_each_block_once(monkeypatch):
-    # the slow path built one SeedSequence and one seeded Philox per block
-    real = np.random.SeedSequence
-    made, built = [], []
+    # the slow path built one SeedSequence and one seeded Philox per block;
+    # now one Philox per run is re-keyed to each block in turn
+    real, real_philox = np.random.SeedSequence, np.random.Philox
+    made, built, philox = [], [], []
 
     def counting(*args, **kwargs):
         made.append(args)
         return real(*args, **kwargs)
 
+    def counting_philox(*args, **kwargs):
+        philox.append(args)
+        return real_philox(*args, **kwargs)
+
     original = SampleStreams.block
 
-    def block(self, index, key=None):
-        rng = original(self, index, key)
+    def block(self, index, key=None, into=None):
+        rng = original(self, index, key, into)
         built.append((index, rng))
         return rng
 
     monkeypatch.setattr(np.random, "SeedSequence", counting)
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
     monkeypatch.setattr(SampleStreams, "block", block)
     # four chunks, the last one a single 5-sample block
     samples = 3 * metrics.CHUNK_BLOCKS * BLOCK + 5
     simulate_staggered_circle(2, 3, samples, SampleStreams(9))
     assert len(made) <= 1
+    assert len(philox) == 1
     assert [k for k, _ in built] == list(range(math.ceil(samples / BLOCK)))
     assert not any(isinstance(rng.bit_generator.seed_seq, real)
                    for _, rng in built)
@@ -204,9 +258,10 @@ class _CountingStreams(SampleStreams):
 
     calls: list = dataclasses.field(default_factory=list)
 
-    def block(self, index, key=None):
+    def block(self, index, key=None, into=None):
         self.calls.append(Counter())
-        return _CountingGenerator(super().block(index, key), self.calls[-1])
+        rng = super().block(index, key, None if into is None else into._rng)
+        return _CountingGenerator(rng, self.calls[-1])
 
 
 def _gauss(n):
