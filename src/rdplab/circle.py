@@ -37,6 +37,10 @@ from .sources import CircleSource
 # Largest L of the one-shot frontier: its 2^16 points print in under 2 s
 # with a peak near 100 MB; each point costs about 0.7 KB until printed.
 MAX_FRONTIER_LEVELS = 2 ** 16
+# Largest grid of the two-cell split search: it holds 32 bytes per point
+# (the grid and the objective's temporaries), so 2^22 points peak near
+# 128 MiB, the order of the one-shot frontier's peak.
+MAX_TWO_CELL_GRID = 2 ** 22
 
 
 def wrap_angle(theta, out=None):
@@ -216,13 +220,6 @@ def two_cell_objective(alpha, r: float, lam: float):
             + a * np.log(a) + (lam / math.pi) * np.sin(math.pi * a))
 
 
-def two_cell_objective_prime(alpha, r: float, lam: float):
-    """Derivative of :func:`two_cell_objective` with respect to alpha."""
-    a = np.asarray(alpha, dtype=float)
-    return (-np.log(r - a) - lam * np.cos(math.pi * (r - a))
-            + np.log(a) + lam * np.cos(math.pi * a))
-
-
 @dataclass(frozen=True)
 class TwoCellReport:
     """Grid search result for the optimal two-cell split."""
@@ -247,8 +244,9 @@ def verify_two_cell_optimality(r: float, lam: float,
         raise ValueError(f"r must lie in (0, 1], got {r}")
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"lam must be positive and finite, got {lam}")
-    if grid_size < 3:
-        raise ValueError("grid_size must be >= 3")
+    if not 3 <= grid_size <= MAX_TWO_CELL_GRID:
+        raise ValueError(f"grid_size must lie in [3, {MAX_TWO_CELL_GRID}], "
+                         f"got {grid_size}")
     step = r / (grid_size + 1)
     alpha = step * np.arange(1, grid_size + 1)
     values = two_cell_objective(alpha, r, lam)

@@ -4,12 +4,12 @@ Distortion moments (:class:`RunningMoments`), the entropy of a probability
 vector and its plug-in form on count tables, the KS perception statistic
 with its acceptance threshold, and :func:`simulate_chunks`, the one engine
 every simulator runs: each 1024-sample block takes its raw Philox words
-from its own substream in one ``random_raw`` call (see ``rng``) and
-copies them into the chunk arrays.  Once per chunk of CHUNK_BLOCKS blocks
-the words become uniforms and offsets, the simulator's affine maps run,
-and then its arithmetic, its guards and the moment updates, in place in
-arrays the engine allocates once per run.  Moments are still merged block
-by block, so no chunk length changes a result.
+from its own substream (see ``rng``) into its row of a word matrix.  Once
+per chunk of CHUNK_BLOCKS blocks the matrix's columns become uniforms and
+offsets, the simulator's affine maps run, and then its arithmetic, its
+guards and the moment updates, in place in arrays the engine allocates
+once per run.  Moments are still merged block by block, so no chunk
+length changes a result.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from .rng import BLOCK
 # 2^20 samples (2-core box), chunks of 16 to 64 blocks ran 1.6x faster
 # than single blocks, and 256 blocks slower again.  A float chunk array of
 # 32 blocks is 256 KiB, so a run's chunk arrays (five to seven of them,
-# plus its slice of the reconstructions) take 1.5-2 MiB and fit the
-# box's 2 MiB L2 cache per core; at 64 blocks they took 3-4 MiB.  With one
+# plus its slice of the reconstructions) take 1.5-2 MiB and about fit the
+# box's 2 MiB L2 cache per core; at 64 blocks they took 3-4 MiB.  The word
+# matrix adds 2.5 words per sample at most, 640 KiB.  With one
 # re-keyed Philox per run, alternating in-process cycles of the
 # benchmark's uniform-mc and gauss-mc calls ran 64 blocks slower than 32
 # in about 4 of 5 cycles (by 3-7% in the medians), and 16 blocks level
@@ -137,17 +138,19 @@ def simulate_chunks(streams, samples: int, draws, prepare, step,
                     n_bins: int, work: int = 0):
     """Run one Monte Carlo simulation over the sample blocks of ``streams``.
 
-    Every array is allocated once per run, with min(samples, chunk) rows
-    for a chunk of CHUNK_BLOCKS blocks: one zeroed input array per draw in
+    Every array is allocated once per run, for a chunk of at most
+    CHUNK_BLOCKS whole blocks: one zeroed input array per draw in
     ``draws`` (``rng.DOUBLES``, ``rng.NORMALS`` or ``rng.Offsets``, in draw
-    order), the squared errors (float), the bins (int64) and ``work`` float
-    scratch arrays, besides the reconstructions of all samples.  Each
-    block, from its own substream, makes the generator calls of its draws
-    straight into its slices of the input arrays, and takes the raw words
-    of each run of other draws between them in one ``random_raw`` call.  A
-    draw keeps its words in its own input array or, for one draw at most,
-    in the squared-error array.  Once per chunk the draws turn their words
-    into numbers and ``prepare(*inputs)`` maps them in place.  Then
+    order), a uint64 word matrix with a row per block, the squared errors
+    (float), the bins (int64) and ``work`` float scratch arrays, besides
+    the reconstructions of all samples.  A draw without a generator call
+    owns ``words(BLOCK)`` adjacent columns of the matrix, in draw order.
+    Each block, from its own substream, makes the generator calls of its
+    draws straight into its slices of the input arrays and takes the words
+    of each run of columns between them in one ``random_raw`` call into its
+    row; a short last block takes each draw's words in a call of their own,
+    at the draw's first column.  Once per chunk the draws turn their
+    columns into numbers and ``prepare(*inputs)`` maps them in place.  Then
     ``step(*inputs, out=(err2, bins, recon, *work))`` simulates the chunk:
     it writes per-sample squared errors, integer bins in [0, n_bins) and
     reconstructions into the first three arrays of ``out``, and may use
@@ -158,35 +161,48 @@ def simulate_chunks(streams, samples: int, draws, prepare, step,
     rows.  Returns the distortion moments (merged block by block), the bin
     counts and the reconstructions of all samples in sample order.
     """
-    chunk = CHUNK_BLOCKS * BLOCK
-    rows = min(chunk, samples)
+    blocks = min(CHUNK_BLOCKS, -(-samples // BLOCK))
+    rows = blocks * BLOCK
     inputs = [np.zeros(rows, draw.dtype) for draw in draws]
+    # draw i's words start at column first[i], adjacent in draw order;
+    # ``words`` holds the (draw, input, columns) of each draw with words,
+    # ``steps`` a full block's (call, input, c0, c1): each generator call,
+    # and one random_raw per run of columns c0 .. c1-1 between calls
+    words, steps, first, col, c0 = [], [], [], 0, 0
+    for i, draw in enumerate(draws):
+        first.append(col)
+        if draw.draw is not None:
+            steps += [(None, None, c0, col), (draw.draw, i, 0, 0)]
+            c0 = col
+        elif draw.words(BLOCK):
+            col += draw.words(BLOCK)
+            words.append((draw, i, slice(first[i], col)))
+    steps.append((None, None, c0, col))
+    raw = np.zeros((blocks, col), np.uint64)
     err2, bins = np.empty(rows), np.empty(rows, dtype=np.int64)
-    # the squared errors are written only after the words became numbers
-    words = [draw.word_array(buf, err2) for draw, buf in zip(draws, inputs)]
     scratch = [np.empty(rows) for _ in range(work)]
     recon = np.empty(samples)
     dist = RunningMoments()
     counts = np.zeros(n_bins, dtype=np.int64)
-    full = _block_plan(draws, words, BLOCK)
     for k, size, rng in streams.iter_blocks(samples):
-        at = k * BLOCK % chunk              # the block's place in its chunk
-        for call, i, copies in (full if size == BLOCK
-                                else _block_plan(draws, words, size)):
+        row = k % CHUNK_BLOCKS              # the block's row in its chunk
+        at = row * BLOCK
+        if size < BLOCK:                    # the last block
+            steps = [(d.draw, i, first[i],
+                      first[i] + (0 if d.draw else d.words(size)))
+                     for i, d in enumerate(draws)]
+        for call, i, c0, c1 in steps:
             if call is not None:
                 call(rng, inputs[i][at:at + size])
-                continue
-            raw = rng.bit_generator.random_raw(i)
-            for draw, dest, start, stop in copies:
-                w = draw.words(at)
-                dest[w:w + stop - start] = raw[start:stop]
+            elif c1 > c0:
+                raw[row, c0:c1] = rng.bit_generator.random_raw(c1 - c0)
         filled, drawn = at + size, k * BLOCK + size
-        if filled < chunk and drawn < samples:
+        if row + 1 < CHUNK_BLOCKS and drawn < samples:
             continue
+        for draw, i, cols in words:
+            draw.numbers(raw[:row + 1, cols],
+                         inputs[i][:at + BLOCK].reshape(row + 1, BLOCK))
         views = [buf[:filled] for buf in inputs]
-        for draw, w, v in zip(draws, words, views):
-            if w is not None:
-                draw.numbers(w[:draw.words(filled)], v)
         prepare(*views)
         out = [err2[:filled], bins[:filled], recon[drawn - filled:drawn],
                *(buf[:filled] for buf in scratch)]
@@ -203,27 +219,6 @@ def simulate_chunks(streams, samples: int, draws, prepare, step,
         else:
             counts += np.bincount(out[1], minlength=n_bins)
     return dist, counts, recon
-
-
-def _block_plan(draws, words, size: int):
-    """The draws of one block of ``size`` samples, in order: a generator
-    call ``(draw, input index, None)`` per draw that makes one, and one
-    ``(None, word count, copies)`` per run of word draws between them,
-    each copy ``(draw, word array, start, stop)`` taking the words
-    start .. stop-1 of the run's ``random_raw`` call."""
-    plan, copies, total = [], [], 0
-    for i, (draw, dest) in enumerate(zip(draws, words)):
-        if draw.draw is not None:
-            if copies:
-                plan.append((None, total, copies))
-                copies, total = [], 0
-            plan.append((draw.draw, i, None))
-        elif dest is not None:
-            copies.append((draw, dest, total, total + draw.words(size)))
-            total = copies[-1][3]
-    if copies:
-        plan.append((None, total, copies))
-    return plan
 
 
 def entropy_bits(probs) -> float:

@@ -19,9 +19,10 @@ is the pool of ``SeedSequence(seed)``, the same for every block, with the
 in.  :meth:`SampleStreams.keys` builds that pool once and then mixes and
 hashes the keys of a whole range of blocks in uint32 numpy arithmetic,
 with the multipliers of numpy's SeedSequence: 0.2 ms per 1024 keys, and
-one SeedSequence per range rather than one per block.  A run then
-builds one generator, for its first block, which takes its key through
-:class:`_BlockKey`, a minimal ``ISeedSequence``.
+one SeedSequence per range rather than one per block.  A run takes its
+keys in ranges of KEY_BLOCKS blocks and builds one generator, for its
+first block, which takes its key through :class:`_BlockKey`, a minimal
+``ISeedSequence``.
 :meth:`SampleStreams.iter_blocks` re-keys that generator to each further
 block through :meth:`SampleStreams.block`, which sets numpy's public
 ``bit_generator.state`` to exactly a freshly built block generator's: the
@@ -43,15 +44,14 @@ Every uniform on [0, 1) is one raw 64-bit Philox word w, as
 count N up to 2^32 takes one 32-bit half-word per offset, low half first,
 so ceil(size/2) words per block: numpy's bounded-integer method (Lemire,
 ACM TOMACS 2019) never rejects for such N, and the offset is the top
-log2 N bits of the half.  N = 1 draws nothing.  So a block of ``size``
-samples that draws only these takes all of its words in one
-``random_raw`` call, laid out kind after kind in draw order, and the
-engine (``metrics.simulate_chunks``) copies each kind's words into its
-chunk array.  Only two draws remain generator calls per block, and they
-split the words into one ``random_raw`` call before and one after them:
-``standard_normal`` for a Gaussian x, whose ziggurat must stay numpy's,
-and ``integers`` for an offset count that may reject.  Once per chunk,
-:func:`doubles` and :func:`offsets` turn the chunk's words into numbers
+log2 N bits of the half.  N = 1 draws nothing.  Only two draws remain
+generator calls per block: ``standard_normal`` for a Gaussian x, whose
+ziggurat must stay numpy's, and ``integers`` for an offset count that may
+reject.  The engine (``metrics.simulate_chunks``) keeps the words of the
+other draws in one matrix, a row per block of a chunk and adjacent
+columns per draw in draw order, and a full block takes each run of them
+between generator calls in one ``random_raw`` call.  Once per chunk,
+:func:`doubles` and :func:`offsets` turn each draw's columns into numbers
 with numpy's bits; :data:`DOUBLES`, :data:`NORMALS` and :class:`Offsets`
 tell the engine how each input is drawn.  ``tests/test_rng.py`` pins the
 helpers against ``Generator.random`` and ``Generator.integers`` and fails
@@ -68,6 +68,11 @@ from numpy.random.bit_generator import ISeedSequence
 # Substream granularity in samples.  Execution chunks are whole numbers
 # of blocks, so chunking never changes which stream produced which sample.
 BLOCK = 1024
+
+# Blocks whose keys a run derives at once.  Held as Python ints, a key
+# takes about 150 bytes, so a run holds at most 150 KB of keys however
+# many blocks it draws.
+KEY_BLOCKS = 1024
 
 # numpy's SeedSequence hash constants (pool of 4 uint32 words)
 _POOL_WORDS = 4
@@ -117,31 +122,33 @@ def _fresh_state(key) -> dict:
 
 def doubles(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``Generator.random``'s doubles on [0, 1) of the raw Philox words:
-    (w >> 11) * 2^-53, exact.  ``out`` (float64) receives them in place of
-    a fresh array; ``words`` may be its own memory, ``out.view(np.uint64)``,
-    and is then overwritten."""
+    (w >> 11) * 2^-53, exact.  ``out``, a C-contiguous float64 array of
+    the words' shape, receives them in place of a fresh array."""
     if out is None:
         out = np.empty(np.shape(words))
     top = np.right_shift(words, 11, out=out.view(np.uint64))
-    # below 2^53 the cast is exact; copyto casts in place element by
-    # element, where a ufunc would copy the overlapping input first
-    np.copyto(out, top, casting="unsafe")
-    out *= 2.0 ** -53
+    # below 2^53 the cast is exact; on one axis copyto casts in place
+    # element by element, where a ufunc, or copyto on more axes, would
+    # copy the overlapping input first
+    flat = out.reshape(-1)
+    np.copyto(flat, top.reshape(-1), casting="unsafe")
+    flat *= 2.0 ** -53
     return out
 
 
 def offsets(words: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """``Generator.integers(0, n, out.size)`` for a power-of-two n in
-    [2, 2^32] from its raw words (ceil(out.size / 2) little-endian uint64,
-    shifted in place), written into ``out`` (any integer or float dtype)
-    and returned.
+    """``Generator.integers(0, n, m)`` for a power-of-two n in [2, 2^32]
+    and an even m, along the last axis of ``out`` (m values, any integer or
+    float dtype), from the m/2 raw words along the last axis of ``words``
+    (little-endian uint64, contiguous along it, and shifted in place),
+    written into ``out`` and returned.
 
     numpy multiplies each 32-bit half-word by n and keeps the high word;
     the low word never falls below its rejection threshold
     (2^32 - n) mod n = 0, so the offsets are the top log2 n bits of the
     halves, low half first from each word.
     """
-    halves = words.view("<u4")[:out.size]
+    halves = words.view("<u4")
     halves >>= 33 - int(n).bit_length()
     # a plain cast: a ufunc writing another dtype would buffer it
     np.copyto(out, halves)
@@ -149,17 +156,13 @@ def offsets(words: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
 
 
 # The engine's draws.  Each one names the dtype of its input array and
-# ``word_array(inputs, spare)``, where the engine copies its raw words
-# (None for none): in the input array itself, or in ``spare``, a float
-# array as long as the inputs that the engine does not use until the
-# words are numbers.  ``draw(rng, out)``, unless None, is its generator
-# call per block.  A draw with words takes ``words(size)`` of them per
-# block of ``size`` samples, and ``numbers(words, out)`` turns a chunk's
-# words into its numbers.
+# ``draw(rng, out)``, its generator call per block, or None.  A draw
+# without a call takes ``words(size)`` raw words per block of ``size``
+# samples, and ``numbers(words, out)`` turns a chunk's words, a row per
+# block, into its numbers, a row of BLOCK per block.
 
 class _Doubles:
-    """Uniforms on [0, 1): one raw word per sample, kept in the memory of
-    the chunk array they turn into."""
+    """Uniforms on [0, 1): one raw word per sample."""
 
     dtype = np.float64
     draw = None
@@ -167,10 +170,6 @@ class _Doubles:
     @staticmethod
     def words(size: int) -> int:
         return size
-
-    @staticmethod
-    def word_array(inputs: np.ndarray, spare: np.ndarray) -> np.ndarray:
-        return inputs.view(np.uint64)
 
     numbers = staticmethod(doubles)
 
@@ -185,10 +184,6 @@ class _Normals:
     def draw(rng: np.random.Generator, out: np.ndarray) -> None:
         rng.standard_normal(out=out)
 
-    @staticmethod
-    def word_array(inputs: np.ndarray, spare: np.ndarray) -> None:
-        return None
-
 
 DOUBLES, NORMALS = _Doubles(), _Normals()
 
@@ -197,10 +192,10 @@ DOUBLES, NORMALS = _Doubles(), _Normals()
 class Offsets:
     """Offset indices in [0, n), as ``Generator.integers(0, n, size)``
     draws them, in an input array of ``dtype``.  A power-of-two n <= 2^32
-    takes ceil(size/2) raw words per block, kept in the engine's spare
-    array and made numbers per chunk by :func:`offsets`; n = 1 draws
-    nothing and leaves the engine's zeros; any other n may reject and
-    redraw, so it calls ``integers`` per block."""
+    takes ceil(size/2) raw words per block, made numbers by
+    :func:`offsets`; n = 1 draws nothing and leaves the engine's zeros;
+    any other n may reject and redraw, so it calls ``integers`` per
+    block."""
 
     n: int
     dtype: type = np.int64
@@ -218,12 +213,6 @@ class Offsets:
 
     def _integers(self, rng: np.random.Generator, out: np.ndarray) -> None:
         out[...] = rng.integers(0, self.n, out.size)
-
-    def word_array(self, inputs: np.ndarray, spare: np.ndarray
-                   ) -> np.ndarray | None:
-        if not self._raw:
-            return None
-        return spare.view("<u8")[:self.words(spare.size)]
 
     def numbers(self, words: np.ndarray, out: np.ndarray) -> np.ndarray:
         return offsets(words, self.n, out)
@@ -283,7 +272,9 @@ class SampleStreams:
         block, so a yielded generator is valid until the next iteration."""
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        rng = None
-        for k, key in enumerate(self.keys(0, -(-n_samples // BLOCK)).tolist()):
-            rng = self.block(k, key, rng)
-            yield k, min(BLOCK, n_samples - k * BLOCK), rng
+        rng, blocks = None, -(-n_samples // BLOCK)
+        for start in range(0, blocks, KEY_BLOCKS):
+            keys = self.keys(start, min(start + KEY_BLOCKS, blocks))
+            for k, key in enumerate(keys.tolist(), start):
+                rng = self.block(k, key, rng)
+                yield k, min(BLOCK, n_samples - k * BLOCK), rng

@@ -73,9 +73,6 @@ class UniformSource:
         if not self.hi > self.lo:
             raise ValueError(f"need lo < hi, got ({self.lo}, {self.hi})")
 
-    def spec_string(self) -> str:
-        return f"uniform:{self.lo:g},{self.hi:g}"
-
     def effective_support(self):
         return self.lo, self.hi
 
@@ -132,9 +129,6 @@ class GaussianSource:
             raise ValueError(f"mu +/- {GAUSS_SUPPORT_SIGMAS:g} sigma rounds "
                              f"to one point at mu {self.mu:g}, "
                              f"sigma {self.sigma:g}")
-
-    def spec_string(self) -> str:
-        return f"gauss:{self.mu:g},{self.sigma:g}"
 
     def effective_support(self):
         half = GAUSS_SUPPORT_SIGMAS * self.sigma
@@ -237,9 +231,6 @@ class CircleSource(UniformSource):
     lo: float = field(default=-math.pi, init=False)
     hi: float = field(default=math.pi, init=False)
     cdf, quantile, sample = UniformSource.cdf, UniformSource.quantile, UniformSource.sample
-
-    def spec_string(self) -> str:
-        return "circle"
 
 
 SourceModel = UniformSource | GaussianSource | CircleSource

@@ -14,11 +14,12 @@ that step from both sides.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rdplab import metrics
+from rdplab import metrics, stagger
 from rdplab.circle import (simulate_dithered_circle, simulate_staggered_circle,
                            wrap_angle)
 from rdplab.metrics import (ExperimentResult, RunningMoments, ks_statistic,
@@ -286,10 +287,6 @@ class _IndexDraw:
     dtype = np.int64
 
     @staticmethod
-    def word_array(inputs, spare):
-        return None
-
-    @staticmethod
     def draw(k, out):
         out.fill(k)
 
@@ -312,3 +309,34 @@ def test_failing_chunk_raises_what_its_first_faulty_block_raises(monkeypatch):
         with pytest.raises(ValueError, match="^low block 2$"):
             metrics.simulate_chunks(_IndexStreams(), 8 * BLOCK,
                                     (_IndexDraw(),), lambda v: None, step, 8)
+
+
+def _engine_excess(monkeypatch, samples):
+    """Bytes a uniform pipeline's engine call peaks at under tracemalloc
+    beyond its reconstructions; its three draws all take raw words."""
+    spec = StaggeredSpec(UniformSource(0.0, 1.0), 0.25, 2, origin=0.125)
+    engine, peaks = stagger.simulate_chunks, []
+
+    def measured(*args, **kwargs):
+        current = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return engine(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - current)
+
+    monkeypatch.setattr(stagger, "simulate_chunks", measured)
+    tracemalloc.start()
+    try:
+        simulate_pipeline(spec, samples, SampleStreams(5))
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1
+    return peaks[0] - 8 * samples
+
+
+def test_engine_scratch_is_per_chunk_not_per_run(monkeypatch):
+    # input, word, error, bin and work arrays of one chunk: 2.8 MiB
+    excess = _engine_excess(monkeypatch, 2 ** 20)
+    assert 0 < excess <= 4 * 2 ** 20
+    assert abs(_engine_excess(monkeypatch, 2 ** 21) - excess) <= 2 ** 16

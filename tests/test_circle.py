@@ -12,8 +12,8 @@ from rdplab import circle
 from rdplab.circle import (MAX_FRONTIER_LEVELS, FrontierPoint,
                            one_shot_frontier, simulate_dithered_circle,
                            simulate_staggered_circle, staggered_circle_rd,
-                           two_cell_objective, two_cell_objective_prime,
-                           verify_two_cell_optimality, wrap_angle)
+                           two_cell_objective, verify_two_cell_optimality,
+                           wrap_angle)
 from rdplab.metrics import ks_threshold
 from rdplab.cli import cli_dispatch
 from rdplab.rng import SampleStreams
@@ -153,19 +153,6 @@ def test_two_cell_objective_symmetric():
     alpha = r * np.arange(1, 2000) / 2000.0
     vals = two_cell_objective(alpha, r, lam)
     assert np.max(np.abs(vals - vals[::-1])) <= 1e-12
-
-
-def test_two_cell_derivative_matches_finite_difference():
-    rng = np.random.default_rng(0)
-    h = 1e-6
-    for _ in range(100):
-        r = rng.uniform(0.1, 1.0)
-        lam = rng.uniform(0.1, 20.0)
-        alpha = rng.uniform(0.2, 0.8) * r
-        fd = (two_cell_objective(alpha + h, r, lam)
-              - two_cell_objective(alpha - h, r, lam)) / (2 * h)
-        assert fd == pytest.approx(
-            float(two_cell_objective_prime(alpha, r, lam)), abs=1e-6)
 
 
 def test_two_cell_midpoint_optimum():

@@ -2,11 +2,12 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rdplab import simlab
+from rdplab import circle, simlab
 from rdplab.cli import CSV_HEADER, cli_dispatch
 from rdplab.sources import GaussianSource
 from rdplab.stagger import (InactiveCodeError, StaggeredSpec, build_boundaries,
@@ -285,6 +286,23 @@ def test_oversized_allocation_exits_one(capsys, argv, message):
     assert code == 1 and out == ""
     assert err.startswith("rdplab: error:") and "Traceback" not in err
     assert message is None or err == message
+
+
+def test_two_cell_grid_cap_is_checked_before_the_grid(capsys):
+    # one float array of 2^22 + 1 points would be 32 MiB, the whole search
+    # about 128 MiB; the cap refuses the grid before any of it exists
+    cap = circle.MAX_TWO_CELL_GRID
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "two-cell", "--r", "0.5",
+                                 "--lambda", "1", "--grid", str(cap + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == (f"rdplab: error: grid_size must lie in [3, {cap}], "
+                   f"got {cap + 1}\n")
+    assert peak < 2 ** 20
 
 
 def test_seed_takes_any_integer(capsys):

@@ -158,18 +158,31 @@ def test_negative_seed_is_refused_before_any_draw(run):
 OFFSET_SIZES = (1, 5, 1023, 1024)
 
 
-def engine_numbers(draw, rng, size):
-    """The numbers ``draw`` gives a block of ``size`` samples, made as the
-    engine makes them: zeroed input, generator call or raw words, then the
-    words turned into numbers."""
-    out = np.zeros(size, draw.dtype)
-    words = draw.word_array(out, np.empty(size))
-    if draw.draw is not None:
-        draw.draw(rng, out)
-    if words is not None:
-        words[...] = rng.bit_generator.random_raw(draw.words(size))
-        draw.numbers(words, out)
-    return out
+def engine_numbers(draw, rngs, size):
+    """The numbers ``draw`` gives a full block from ``rngs[0]`` and then a
+    last block of ``size`` samples from ``rngs[1]``, made as the engine
+    makes them: zeroed inputs, and a generator call per block or each
+    block's raw words at the column start of its row of a word matrix,
+    where another draw's column lies on either side; then the draw's
+    columns turned into numbers at once."""
+    out = np.zeros((2, BLOCK), draw.dtype)
+    width = 0 if draw.draw is not None else draw.words(BLOCK)
+    raw = np.zeros((2, width + 2), np.uint64)
+    for row, (rng, n) in enumerate(zip(rngs, (BLOCK, size))):
+        if draw.draw is not None:
+            draw.draw(rng, out[row, :n])
+        elif width:
+            raw[row, 1:1 + draw.words(n)] = \
+                rng.bit_generator.random_raw(draw.words(n))
+    if width:
+        draw.numbers(raw[:, 1:1 + width], out)
+    return out[0], out[1, :size]
+
+
+def block_pairs(seed, size):
+    """Two (full block, last block of ``size``) generator pairs, for the
+    engine and for numpy's own draws."""
+    return [[numpy_block(seed, k) for k in (0, size)] for _ in range(2)]
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4], ids=SEED_IDS[:4])
@@ -179,27 +192,29 @@ def test_power_of_two_offsets_match_integers(seed):
     for k in range(33):
         for dtype in (np.int64, np.float64):
             for size in OFFSET_SIZES:
-                got, want = numpy_block(seed, size), numpy_block(seed, size)
-                out = engine_numbers(Offsets(2 ** k, dtype), got, size)
-                want_n = want.integers(0, 2 ** k, size)
-                assert out.dtype == dtype
-                assert out.tolist() == want_n.tolist(), (k, size)
-                # the draws after the offsets are the same too
-                assert got.random(3).tolist() == want.random(3).tolist(), \
-                    (k, size)
+                got, want = block_pairs(seed, size)
+                outs = engine_numbers(Offsets(2 ** k, dtype), got, size)
+                for out, g, w, n in zip(outs, got, want, (BLOCK, size)):
+                    assert out.dtype == dtype
+                    assert out.tolist() == w.integers(0, 2 ** k, n).tolist(), \
+                        (k, size)
+                    # the draws after the offsets are the same too
+                    assert g.random(3).tolist() == w.random(3).tolist(), \
+                        (k, size)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4], ids=SEED_IDS[:4])
 def test_doubles_match_random(seed):
     for size in OFFSET_SIZES:
-        got, want = numpy_block(seed, size), numpy_block(seed, size)
-        out = engine_numbers(DOUBLES, got, size)
-        assert out.tolist() == want.random(size).tolist(), size
-        assert got.random(3).tolist() == want.random(3).tolist(), size
+        got, want = block_pairs(seed, size)
+        outs = engine_numbers(DOUBLES, got, size)
+        for out, g, w, n in zip(outs, got, want, (BLOCK, size)):
+            assert out.tolist() == w.random(n).tolist(), size
+            assert g.random(3).tolist() == w.random(3).tolist(), size
         # a fresh array, and the caller's words left as they were
         words = numpy_block(seed, size).bit_generator.random_raw(size)
         kept = words.copy()
-        assert doubles(words).tolist() == out.tolist()
+        assert doubles(words).tolist() == outs[1].tolist()
         assert words.tolist() == kept.tolist()
 
 
@@ -222,12 +237,14 @@ class _NoRawWords:
 @pytest.mark.parametrize("n", [3, 5, 2 ** 33, 2 ** 40])
 def test_other_offset_counts_take_integers(n):
     draw = Offsets(n)
-    assert draw.word_array(np.empty(BLOCK, np.int64), np.empty(BLOCK)) is None
+    assert draw.words(BLOCK) == 0
     for size in OFFSET_SIZES:
-        got = _NoRawWords(numpy_block(3, size))
-        out = engine_numbers(draw, got, size)
-        assert got.calls == [(0, n, size)]
-        assert out.tolist() == numpy_block(3, size).integers(0, n, size).tolist()
+        got = [_NoRawWords(numpy_block(3, k)) for k in (0, size)]
+        outs = engine_numbers(draw, got, size)
+        for out, g, k, m in zip(outs, got, (0, size), (BLOCK, size)):
+            assert g.calls == [(0, n, m)]
+            assert out.tolist() == \
+                numpy_block(3, k).integers(0, n, m).tolist()
 
 
 class _CountingGenerator:
