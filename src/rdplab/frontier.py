@@ -41,7 +41,7 @@ LAMBDA_MAX = 1e4
 # Largest grid of the rdp-frontier command, the cap of the one-shot
 # frontier: 2^16 points print in about 2 s with a peak near 100 MB.
 MAX_CURVE_POINTS = 2 ** 16
-# rate_at_distortion: lam points per bracketing rdp_curve call, and the
+# rate_at_distortion: lam points per bracketing round, and the
 # log(lam) width of the bracket its cubic interpolates on (5 calls; within
 # 4e-13 bits of a 1e-12 bisection on 66 distortions in [3e-4, 2))
 BRACKET_POINTS = 9
@@ -111,24 +111,34 @@ def rdp_curve(lam_grid) -> list[FrontierPoint]:
             and all(a < b for a, b in zip(lams, lams[1:]))):
         raise ValueError(f"lambda grid must be nonempty, strictly increasing "
                          f"and within (0, {LAMBDA_MAX:g}]")
+    rates, dists = _rates_and_distortions(lams)
+    return [FrontierPoint(float(r), float(d), "quadrature", f"lambda={lam:g}")
+            for lam, r, d in zip(lams, rates, dists)]
+
+
+def _rates_and_distortions(lams):
+    """Arrays of R (bits) and D along an increasing lam grid, checked for
+    the parametric monotonicity that ``rdp_curve`` promises."""
     law = VonMisesLikeLaw(lams)
     # rate can round to a hair below zero in the lam -> 0 limit
     rates = np.maximum(law.divergence_nats() / math.log(2.0), 0.0)
     dists = 2.0 - 2.0 * law.mean_cos()
-    points = [FrontierPoint(float(r), float(d), "quadrature", f"lambda={lam:g}")
-              for lam, r, d in zip(lams, rates, dists)]
-    for p, q in zip(points, points[1:]):
-        if not (q.rate_bits > p.rate_bits and q.distortion < p.distortion):
-            raise RuntimeError(
-                f"frontier not monotone between {p.params} and {q.params}")
-    return points
+    bad = np.flatnonzero(~((rates[1:] > rates[:-1])
+                           & (dists[1:] < dists[:-1])))
+    if bad.size:
+        k = int(bad[0])
+        raise RuntimeError(f"frontier not monotone between lambda="
+                           f"{float(lams[k]):g} and lambda="
+                           f"{float(lams[k + 1]):g}")
+    return rates, dists
 
 
 def rate_at_distortion(distortion: float) -> float:
     """Rate of the perfect-perception frontier at a given distortion.
 
-    Each round evaluates one rdp_curve on BRACKET_POINTS geometric lam
-    points spanning the bracket of the answer, and keeps the grid interval
+    Each round evaluates R and D, as rdp_curve does, on BRACKET_POINTS
+    geometric lam points spanning the bracket of the answer (without
+    building frontier points), and keeps the grid interval
     where D crosses the target, BRACKET_POINTS - 1 times narrower in
     log(lam).  Once the bracket is under BRACKET_WIDTH in log(lam), a cubic
     through four grid points interpolates the rate at the target D.  Valid
@@ -140,14 +150,13 @@ def rate_at_distortion(distortion: float) -> float:
     lo, hi = 1e-8, LAMBDA_MAX
     while True:
         grid = np.geomspace(lo, hi, BRACKET_POINTS)
-        points = rdp_curve(grid)
-        d = np.array([p.distortion for p in points])
+        rates, d = _rates_and_distortions(grid)
         above = int(np.count_nonzero(d > distortion))   # D falls along lam
         if above == BRACKET_POINTS:
             raise ValueError(f"distortion {distortion} below the lam <= 1e4 "
                              f"range")
         if above == 0:
-            return points[0].rate_bits
+            return float(rates[0])
         if math.log(hi / lo) < BRACKET_WIDTH:
             break
         lo, hi = grid[above - 1], grid[above]
@@ -155,9 +164,9 @@ def rate_at_distortion(distortion: float) -> float:
     first = min(max(above - 2, 0), BRACKET_POINTS - 4)
     d = d[first:first + 4]
     rate = 0.0
-    for i, p in enumerate(points[first:first + 4]):
+    for i, r in enumerate(rates[first:first + 4]):
         others = np.delete(d, i)
-        rate += p.rate_bits * np.prod((distortion - others) / (d[i] - others))
+        rate += r * np.prod((distortion - others) / (d[i] - others))
     return float(rate)
 
 

@@ -50,9 +50,17 @@ DEGENERATE_MASS = 1e-12
 # Against 120-digit mpmath on 41 centres in [-10, 10] sigma, that series
 # is within 3e-14 relative in the variance at width 0.75 and 3e-15 below
 # 0.6; the closed form is off by 1e-10 at 0.75, 2e-9 at 0.1 and 0.8 at
-# 1e-4.
+# 1e-4.  The series stops early, slice by slice, at the last order whose
+# terms can still move one of its three sums by a bit (``_series_order``):
+# every term it omits is below 2^-56 of its sum, so the moments keep the
+# bits of the order-SERIES_ORDER series.  On the tables of N(0, 1) it
+# stops at order 3-5 for delta = 1e-3, 5-7 for 0.01, 19 for 0.25 and 23
+# for 0.5.
 NARROW_SIGMAS = 0.75
 SERIES_ORDER = 24
+# Intervals per slice of the series: a slice touches ten rows of 32 KiB,
+# well inside a 2 MiB L2.
+SERIES_SLICE = 4096
 
 
 def _check_unit_interval(u):
@@ -162,14 +170,19 @@ class GaussianSource:
     def mean_var_on(self, a, b):
         """Truncated-normal mean and variance on [a, b].
 
-        Intervals narrower than NARROW_SIGMAS take both moments from
-        ``_centred_moments``; the closed form's variance
-        1 + (al*phi(al) - be*phi(be))/Z - m^2 falls from O(1) to width^2/12
-        there and keeps only the digits the cancellation leaves.
+        Every interval must hold floating-point mass, or ``no mass`` is
+        raised.  Intervals narrower than NARROW_SIGMAS take both moments
+        from ``_centred_moments``, which stops at the order each slice
+        needs and keeps the bits of the order-SERIES_ORDER series; the
+        closed form's variance 1 + (al*phi(al) - be*phi(be))/Z - m^2 falls
+        from O(1) to width^2/12 there and keeps only the digits the
+        cancellation leaves, so it runs on the wide intervals alone.  Each
+        interval's moments are the same bits whatever the other intervals
+        of the call, and scalars give numpy scalars.
         """
         a, b = np.broadcast_arrays(a, b)
-        al = (a - self.mu) / self.sigma
-        be = (b - self.mu) / self.sigma
+        al = ((a - self.mu) / self.sigma).ravel()
+        be = ((b - self.mu) / self.sigma).ravel()
         # reflect intervals above the mean: ndtr(be) - ndtr(al) cancels there
         up = al > 0
         lo, hi = np.where(up, -be, al), np.where(up, -al, be)
@@ -177,14 +190,17 @@ class GaussianSource:
         if np.any(z <= 0):
             k = np.argmax(z <= 0)
             raise ValueError(f"no mass on [{a.flat[k]}, {b.flat[k]}]")
-        pa, pb = (np.exp(-0.5 * t * t) / math.sqrt(math.tau) for t in (lo, hi))
-        m = (pa - pb) / z
-        v = 1.0 + (lo * pa - hi * pb) / z - m * m
-        m = np.where(up, -m, m)
         narrow = be - al < NARROW_SIGMAS
-        if np.any(narrow):
-            m[narrow], v[narrow] = _centred_moments(al[narrow], be[narrow])
-        return self.mu + self.sigma * m, self.sigma ** 2 * v
+        m, v = np.empty_like(al), np.empty_like(al)
+        m[narrow], v[narrow] = _centred_moments(al[narrow], be[narrow])
+        wide = ~narrow
+        lo, hi, z = lo[wide], hi[wide], z[wide]
+        pa, pb = (np.exp(-0.5 * t * t) / math.sqrt(math.tau) for t in (lo, hi))
+        m_wide = (pa - pb) / z
+        v[wide] = 1.0 + (lo * pa - hi * pb) / z - m_wide * m_wide
+        m[wide] = np.where(up[wide], -m_wide, m_wide)
+        return (self.mu + self.sigma * m.reshape(a.shape),
+                self.sigma ** 2 * v.reshape(a.shape))
 
     def mean_cdf_from_lo(self, t0, t1):
         """Mean of F on [lo + t0, lo + t1], (G(z1) - G(z0))/(z1 - z0) with
@@ -207,19 +223,83 @@ def _centred_moments(al, be):
     the mass and the first two moments of t are sums of p_n over n, and
     the variance subtracts a term of order c^2 h^4 from one of order h^2,
     so it cancels nothing.
+
+    The sums run in place on slices of SERIES_SLICE intervals, each up to
+    the order ``_series_order`` finds for its largest |c| and h; they
+    take the same steps on the same doubles as the full series, so the
+    moments have its bits.  Their error against the exact moments is
+    therefore that of order SERIES_ORDER (see the comment on it).
     """
     c, h = 0.5 * (al + be), 0.5 * (be - al)
-    p_prev, p = np.ones_like(c), c * h
-    s0, s1, s2 = np.ones_like(c), -p * h / 3.0, h * h / 3.0
+    mean, var = np.empty_like(c), np.empty_like(c)
+    work = np.empty((6, min(c.size, SERIES_SLICE)))
+    for i in range(0, c.size, SERIES_SLICE):
+        cs, hs = c[i:i + SERIES_SLICE], h[i:i + SERIES_SLICE]
+        # s1 and s2 are summed in the output slices
+        s1, s2 = mean[i:i + SERIES_SLICE], var[i:i + SERIES_SLICE]
+        ch, hh, p_prev, p, s0, t = work[:, :cs.size]
+        h_max = float(np.max(hs))
+        c_max = float(np.max(np.abs(cs, out=t)))
+        order = _series_order(c_max * h_max, h_max * h_max)
+        np.multiply(cs, hs, out=ch)
+        np.multiply(hs, hs, out=hh)
+        p_prev.fill(1.0)
+        np.copyto(p, ch)
+        # orders 0 and 1: s0 = 1, s1 = -c h^2 / 3, s2 = h^2 / 3
+        s0.fill(1.0)
+        np.divide(np.multiply(ch, hs, out=s1), -3.0, out=s1)
+        np.divide(hh, 3.0, out=s2)
+        for n in range(2, order + 1):
+            # p_n = (c h p_{n-1} - h^2 p_{n-2}) / n, into p_{n-2}'s row
+            np.multiply(ch, p, out=t)
+            np.multiply(hh, p_prev, out=p_prev)
+            np.subtract(t, p_prev, out=p_prev)
+            p_prev /= n
+            p_prev, p = p, p_prev
+            if n % 2:
+                np.multiply(p, hs, out=t)
+                t /= n + 2
+                s1 -= t
+            else:
+                s0 += np.divide(p, n + 1, out=t)
+                np.multiply(p, hs, out=t)
+                t *= hs
+                t /= n + 3
+                s2 += t
+        s1 /= s0                       # the mean offset mt
+        s2 /= s0
+        s2 -= np.multiply(s1, s1, out=t)
+        s1 += cs
+    return mean, var
+
+
+def _series_order(y, g):
+    """Last order of ``_centred_moments`` whose terms can move a sum, for
+    intervals with |c| h <= y and h^2 <= g (at least 1, at most
+    SERIES_ORDER; NaN gives SERIES_ORDER).
+
+    |He_n(c)| is at most He*_n(|c|), the Hermite polynomial with all its
+    signs made positive, so |p_n| <= q_n with q_0 = 1, q_1 = y and
+    q_n = (y q_{n-1} + g q_{n-2}) / n, which grows with y and g; for odd
+    n also q_n <= y q_{n-1}.  Each sum is at least exp(-h^2/2) times its
+    leading term (1, c h^2/3 and h^2/3, from the integrals of the weight
+    exp(-c t - t^2/2)), so an even term relative to s0 or s2 is at most
+    3 q_n / (n + 3) exp(g/2), and an odd one relative to s1 at most
+    3 q_{n-1} / (n + 2) exp(g/2).  Past the returned order every such
+    bound is below 2^-56, half of what can change a normal double with
+    round to nearest; the halving covers the rounding of the terms
+    themselves.  (A subnormal s1, where that fails, takes 0 < |c| < 2^-841
+    with h > 2^-59; no two interval ends that far apart sum to so little.)
+    """
+    tol = 2.0 ** -56 * math.exp(-0.5 * g)
+    q_prev, q = 1.0, y
+    order = 1
     for n in range(2, SERIES_ORDER + 1):
-        p_prev, p = p, (c * h * p - h * h * p_prev) / n
-        if n % 2:
-            s1 = s1 - p * h / (n + 2)
-        else:
-            s0 = s0 + p / (n + 1)
-            s2 = s2 + p * h * h / (n + 3)
-    mt = s1 / s0
-    return c + mt, s2 / s0 - mt * mt
+        q_prev, q = q, (y * q + g * q_prev) / n
+        bound = 3.0 * (q / (n + 3) if n % 2 == 0 else q_prev / (n + 2))
+        if not bound < tol:
+            order = n
+    return order
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,13 @@ def decode(table: BoundaryTable, j: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _decode_rows(table, np.subtract(j, table.j_first), u)
 
 
+def _by_offset(values, j_first: int, n_off: int) -> list[np.ndarray]:
+    """Views of ``values``, one per code of the contiguous run from
+    ``j_first``, split by offset: code j belongs to offset j mod N, so
+    offset n's codes start at row (n - j_first) mod N and repeat every N."""
+    return [values[(n - j_first) % n_off::n_off] for n in range(n_off)]
+
+
 def _decode_rows(table: BoundaryTable, k, u, out=None, work=(None,) * 3):
     """``decode`` of the codes on the table rows k = j - j_first.  ``out``
     and the three ``work`` arrays, float arrays shaped like k, take the
@@ -349,12 +356,14 @@ def exact_code_distribution(spec: StaggeredSpec) -> CodeDistribution:
         raise InactiveCodeError(
             f"code {int(codes[empty][0])} has a degenerate interval")
 
-    offset_of = np.mod(codes, n_off)
-    per_mass = [prob[offset_of == n] * n_off for n in range(n_off)]
+    per_mass = [m * n_off for m in _by_offset(prob, table.j_first, n_off)]
     per_ent = [entropy_bits(m) for m in per_mass]
 
-    m_cell, v_cell = spec.source.mean_var_on(table.cell_lo, table.cell_hi)
-    m_rec, v_rec = spec.source.mean_var_on(table.a, table.b)
+    # the cells and the decoder intervals in one moments call
+    m, v = spec.source.mean_var_on(np.concatenate((table.cell_lo, table.a)),
+                                   np.concatenate((table.cell_hi, table.b)))
+    m_cell, m_rec = np.split(m, 2)
+    v_cell, v_rec = np.split(v, 2)
     mse = np.sum(prob * (v_cell + v_rec + (m_cell - m_rec) ** 2))
 
     return CodeDistribution(
@@ -398,9 +407,7 @@ def simulate_pipeline(spec: StaggeredSpec, samples: int,
     draws = (spec.source.standard, Offsets(n_off), DOUBLES)
     dist, counts, recon = simulate_chunks(streams, samples, draws, prepare,
                                           step, table.codes.size, work=2)
-    # code j belongs to offset j mod N, so the counts split by offset
-    offset_of = np.mod(table.codes, n_off)
-    per_offset = (counts[offset_of == n] for n in range(n_off))
+    per_offset = _by_offset(counts, table.j_first, n_off)
     return ExperimentResult(
         rate_bits=avg_conditional_entropy(c for c in per_offset if c.any()),
         mse=dist.mean,

@@ -86,16 +86,73 @@ def test_rate_at_distortion_matches_bessel_bisection(distortion):
 
 
 def test_rate_at_distortion_takes_a_few_curve_calls(monkeypatch):
+    # each bracket round evaluates R and D on one grid, without building
+    # frontier points
     from rdplab import frontier
     calls = []
+    curve = frontier._rates_and_distortions
 
     def counted(grid):
         calls.append(len(grid))
-        return rdp_curve(grid)
+        return curve(grid)
 
-    monkeypatch.setattr(frontier, "rdp_curve", counted)
+    monkeypatch.setattr(frontier, "_rates_and_distortions", counted)
+    monkeypatch.setattr(frontier, "rdp_curve", None)
     rate_at_distortion(0.2)
     assert calls == [frontier.BRACKET_POINTS] * 5
+
+
+def rate_by_curve_points(distortion):
+    """rate_at_distortion's bracket and cubic, run on rdp_curve's points."""
+    from rdplab.frontier import BRACKET_POINTS, BRACKET_WIDTH
+    lo, hi = 1e-8, 1e4
+    while True:
+        grid = np.geomspace(lo, hi, BRACKET_POINTS)
+        points = rdp_curve(grid)
+        d = np.array([p.distortion for p in points])
+        above = int(np.count_nonzero(d > distortion))
+        if above == 0:
+            return points[0].rate_bits
+        if math.log(hi / lo) < BRACKET_WIDTH:
+            break
+        lo, hi = grid[above - 1], grid[above]
+    first = min(max(above - 2, 0), BRACKET_POINTS - 4)
+    d = d[first:first + 4]
+    rate = 0.0
+    for i, p in enumerate(points[first:first + 4]):
+        others = np.delete(d, i)
+        rate += p.rate_bits * np.prod((distortion - others) / (d[i] - others))
+    return float(rate)
+
+
+def test_rate_at_distortion_has_the_curve_points_bits():
+    # the benchmark's distortions, then 66 across [3e-4, 2) as the
+    # BRACKET_POINTS comment has them
+    for d in [0.05, 0.2, 0.5, 1.0] + list(np.geomspace(3e-4, 1.999, 66)):
+        got = rate_at_distortion(float(d))
+        assert type(got) is float
+        assert got.hex() == rate_by_curve_points(float(d)).hex(), d
+
+
+def test_monotonicity_failure_names_its_lambdas(monkeypatch):
+    from rdplab import frontier
+    mean_cos = VonMisesLikeLaw.mean_cos
+
+    def bent(law):
+        out = mean_cos(law)
+        out[2] = out[1]             # D stops falling between points 1 and 2
+        return out
+
+    monkeypatch.setattr(VonMisesLikeLaw, "mean_cos", bent)
+    grid = [0.5, 1.0, 2.0, 4.0]
+    for call in (lambda: rdp_curve(grid),
+                 lambda: frontier._rates_and_distortions(grid),
+                 lambda: rate_at_distortion(0.2)):
+        with pytest.raises(RuntimeError,
+                           match="frontier not monotone between lambda="):
+            call()
+    with pytest.raises(RuntimeError, match="lambda=1 and lambda=2$"):
+        rdp_curve(grid)
 
 
 def test_law_works_elementwise_on_a_lambda_array():

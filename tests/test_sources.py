@@ -5,13 +5,17 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdplab import stagger
 from rdplab.rng import SampleStreams
-from rdplab.sources import (CircleSource, GaussianSource, UniformSource,
-                            draw_truncated, parse_source)
+from rdplab.sources import (NARROW_SIGMAS, SERIES_ORDER, SERIES_SLICE,
+                            CircleSource, GaussianSource, UniformSource,
+                            _centred_moments, _series_order, draw_truncated,
+                            parse_source)
 from rdplab.stagger import StaggeredSpec, build_boundaries, decode
 
 ALL_SOURCES = [UniformSource(0.0, 1.0), UniformSource(-2.0, 3.0),
@@ -251,6 +255,151 @@ def test_truncated_variance_on_narrow_cells_matches_mpmath():
             m_ref, v_ref = mpmath_truncnorm_moments(a[k], b[k])
             assert abs(float((v[k] - v_ref) / v_ref)) <= tol, (width, a[k])
             assert abs(float(m[k] - m_ref)) <= 1e-14, (width, a[k])
+
+
+def reference_centred_moments(al, be):
+    """The order-SERIES_ORDER series as it ran before it stopped early:
+    every order, on whole arrays, as fresh temporaries."""
+    c, h = 0.5 * (al + be), 0.5 * (be - al)
+    p_prev, p = np.ones_like(c), c * h
+    s0, s1, s2 = np.ones_like(c), -p * h / 3.0, h * h / 3.0
+    for n in range(2, SERIES_ORDER + 1):
+        p_prev, p = p, (c * h * p - h * h * p_prev) / n
+        if n % 2:
+            s1 = s1 - p * h / (n + 2)
+        else:
+            s0 = s0 + p / (n + 1)
+            s2 = s2 + p * h * h / (n + 3)
+    mt = s1 / s0
+    return c + mt, s2 / s0 - mt * mt
+
+
+def reference_mean_var_on(src, a, b):
+    """GaussianSource.mean_var_on as it ran before: the closed form on
+    every interval, replaced by the full series on the narrow ones."""
+    a, b = np.broadcast_arrays(a, b)
+    al = (a - src.mu) / src.sigma
+    be = (b - src.mu) / src.sigma
+    up = al > 0
+    lo, hi = np.where(up, -be, al), np.where(up, -al, be)
+    z = scipy.special.ndtr(hi) - scipy.special.ndtr(lo)
+    pa, pb = (np.exp(-0.5 * t * t) / math.sqrt(math.tau) for t in (lo, hi))
+    m = (pa - pb) / z
+    v = 1.0 + (lo * pa - hi * pb) / z - m * m
+    m = np.where(up, -m, m)
+    narrow = be - al < NARROW_SIGMAS
+    if np.any(narrow):
+        m[narrow], v[narrow] = reference_centred_moments(al[narrow],
+                                                         be[narrow])
+    return src.mu + src.sigma * m, src.sigma ** 2 * v
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_early_stopped_series_has_the_full_series_bits():
+    # centres over the whole support, widths from 1e-8 to the narrow cut
+    centres = np.linspace(-10.0, 10.0, 801)
+    widths = np.geomspace(1e-8, NARROW_SIGMAS, 120)[:-1]
+    c, w = (x.ravel() for x in np.meshgrid(centres, widths))
+    al, be = c - 0.5 * w, c + 0.5 * w
+    assert al.size > 20 * SERIES_SLICE
+    assert_same_bits(_centred_moments(al, be),
+                     reference_centred_moments(al, be))
+    # one slice of random intervals, whose largest |c| h sets the order
+    rng = np.random.default_rng(3)
+    c = rng.uniform(-10.0, 10.0, 3000)
+    w = np.exp(rng.uniform(math.log(1e-8), math.log(NARROW_SIGMAS), 3000))
+    assert_same_bits(_centred_moments(c - 0.5 * w, c + 0.5 * w),
+                     reference_centred_moments(c - 0.5 * w, c + 0.5 * w))
+
+
+def test_series_order_rule():
+    # the order grows with |c| h and h^2, never passes the cap, and is
+    # the cap on NaN or overflow
+    h = np.array([5e-9, 5e-4, 5e-3, 0.125, 0.375])
+    orders = [_series_order(10.0 * x, x * x) for x in h]
+    assert orders == sorted(orders) and orders[-1] == SERIES_ORDER
+    assert orders[0] < 8 and orders[1] <= 7 and orders[2] <= 9
+    assert _series_order(0.0, 0.0) == 1
+    for bad in (math.nan, math.inf):
+        assert _series_order(bad, 0.01) == SERIES_ORDER
+
+
+EXACT_SWEEP_GAUSS = [(delta, n) for delta in (0.25, 0.5) for n in (1, 2, 4)]
+EXACT_SWEEP_GAUSS += [(0.01, 8), (1e-3, 8)]
+
+
+@pytest.mark.parametrize("delta, n", EXACT_SWEEP_GAUSS)
+def test_table_moments_have_the_full_series_bits(monkeypatch, delta, n):
+    # the Gaussian tables of the benchmark's exact sweep; the 1e-3 grid's
+    # build raises its known mass-identity fault, so its check is off here
+    monkeypatch.setattr(stagger, "MASS_TOL", math.inf)
+    src = GaussianSource(0.0, 1.0)
+    table = build_boundaries(StaggeredSpec(src, delta, n))
+    lo = np.concatenate((table.cell_lo, table.a))
+    hi = np.concatenate((table.cell_hi, table.b))
+    assert_same_bits(src.mean_var_on(lo, hi),
+                     reference_mean_var_on(src, lo, hi))
+
+
+def test_mean_var_on_is_elementwise_across_the_narrow_cut():
+    src = GaussianSource(0.5, 2.0)
+    rng = np.random.default_rng(8)
+    # widths up to twice the cut, in units of sigma = 2
+    centre = rng.uniform(-15.0, 16.0, 40)
+    width = np.concatenate((rng.uniform(0.0, 4.0 * NARROW_SIGMAS, 30),
+                            [2e-7, 1.0, 2.0 * NARROW_SIGMAS, 6.0, 0.3] * 2))
+    a, b = centre - 0.5 * width, centre + 0.5 * width
+    whole = src.mean_var_on(a, b)
+    assert_same_bits(whole, reference_mean_var_on(src, a, b))
+    # a 2-D call gives the same elements in its shape
+    grid = src.mean_var_on(a.reshape(5, 8), b.reshape(5, 8))
+    assert grid[0].shape == (5, 8)
+    assert_same_bits([g.ravel() for g in grid], whole)
+    for k in range(a.size):
+        one = src.mean_var_on(a[k:k + 1], b[k:k + 1])
+        assert_same_bits(one, [w[k:k + 1] for w in whole])
+        # scalars give numpy scalars with the array's bits
+        got = src.mean_var_on(float(a[k]), float(b[k]))
+        assert all(type(g) is np.float64 for g in got)
+        assert_same_bits(got, [w[k] for w in whole])
+
+
+def test_mean_var_on_scalars_keep_their_results():
+    src = GaussianSource(0.5, 2.0)
+    for a, b in [(-1.0, 2.0), (-20.0, -2.0), (1.9, 7.0), (16.5, 18.5)]:
+        got = src.mean_var_on(a, b)
+        assert all(type(g) is np.float64 for g in got)
+        assert_same_bits(got, reference_mean_var_on(src, a, b))
+    # a narrow scalar interval takes the series, as the array element does
+    m, v = src.mean_var_on(0.5, 0.6)
+    assert type(m) is np.float64 and type(v) is np.float64
+    assert_same_bits((m, v), reference_mean_var_on(src, np.array([0.5]),
+                                                   np.array([0.6])))
+
+
+def test_mean_var_on_nan_in_nan_out():
+    src = GaussianSource(0.0, 1.0)
+    a = np.array([math.nan, 0.0, -1.0, math.nan, 0.2])
+    b = np.array([1.0, math.nan, 1.0, math.nan, 0.3])
+    m, v = src.mean_var_on(a, b)
+    nan = np.isnan(a) | np.isnan(b)
+    assert np.isnan(m[nan]).all() and np.isnan(v[nan]).all()
+    assert_same_bits((m[~nan], v[~nan]), src.mean_var_on(a[~nan], b[~nan]))
+
+
+def test_mean_var_on_refuses_intervals_without_mass():
+    src = GaussianSource(0.0, 1.0)
+    # narrow intervals with no floating-point mass, a tail one and two of
+    # zero width; each raises alone and among intervals that hold mass
+    for a, b in [(40.0, 40.1), (-40.1, -40.0), (0.3, 0.3), (-7.0, -7.0)]:
+        with pytest.raises(ValueError, match="no mass"):
+            src.mean_var_on(a, b)
+        with pytest.raises(ValueError, match="no mass"):
+            src.mean_var_on(np.array([0.0, a, -1.0]), np.array([0.1, b, 2.0]))
 
 
 POINTS = [-4.0, -2.0, -math.pi, -0.5, 0.0, 0.3, 1.0, math.pi, 3.0, 7.5,

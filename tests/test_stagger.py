@@ -8,13 +8,13 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdplab.metrics import ks_threshold
+from rdplab.metrics import entropy_bits, ks_threshold
 from rdplab.rng import SampleStreams
 from rdplab.sources import (DEGENERATE_MASS, CircleSource, GaussianSource,
                             UniformSource)
 from rdplab.stagger import (ACTIVE_EPS, MASS_TOL, MAX_CODE_INDEX,
                             MAX_TABLE_CODES, InactiveCodeError, StaggeredSpec,
-                            build_boundaries, cell_left, decode,
+                            _by_offset, build_boundaries, cell_left, decode,
                             dithered_reference, encode,
                             exact_code_distribution, simulate_pipeline)
 
@@ -467,6 +467,45 @@ def test_decode_matches_code_array_draws():
 
 
 # -- exact code statistics ---------------------------------------------------
+
+def mask_split(values, codes, n_off):
+    """Per-offset rows by one boolean mask per offset over all codes."""
+    offset_of = np.mod(codes, n_off)
+    return [values[offset_of == n] for n in range(n_off)]
+
+
+@pytest.mark.parametrize("n_off", [1, 2, 3, 8])
+@pytest.mark.parametrize("j_first", [-1001, -17, -8, -3, -1, 0, 1, 5, 8, 1003])
+def test_offset_split_by_strides_matches_the_masks(j_first, n_off):
+    for size in (1, n_off - 1, n_off, n_off + 1, 50, 51):
+        if size < 1:
+            continue
+        codes = np.arange(j_first, j_first + size)
+        values = np.random.default_rng(size).random(size)
+        got = _by_offset(values, j_first, n_off)
+        want = mask_split(values, codes, n_off)
+        assert len(got) == n_off
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n_off", [1, 2, 3, 8])
+@pytest.mark.parametrize("source, origin", [
+    (GAUSS, 0.0),                          # codes from about -40 N
+    (UniformSource(5.0, 6.0), 0.0),        # codes from about 20 N
+    (UniformSource(-3.0, -2.0), 0.05),
+])
+def test_exact_per_offset_masses_match_the_masks(source, origin, n_off):
+    spec = StaggeredSpec(source, 0.25, n_off, origin)
+    dist = exact_code_distribution(spec)
+    want = [m * n_off for m in mask_split(dist.pooled_masses, dist.codes,
+                                          n_off)]
+    assert len(dist.per_offset_masses) == n_off
+    for g, w in zip(dist.per_offset_masses, want):
+        assert g.tobytes() == w.tobytes()
+    ents = [entropy_bits(m) for m in want]
+    assert dist.per_offset_entropy_bits == ents
+
 
 def test_exact_masses_uniform_aligned():
     dist = exact_code_distribution(aligned_spec(1))
