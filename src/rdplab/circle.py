@@ -37,6 +37,9 @@ from .sources import CircleSource
 # Largest L of the one-shot frontier: its 2^16 points print in under 2 s
 # with a peak near 100 MB; each point costs about 0.7 KB until printed.
 MAX_FRONTIER_LEVELS = 2 ** 16
+# Largest L of the circle simulators: a run counts about L bins, and its
+# entropy reads them, so 2^20 levels take about 8 MiB of counts.
+MAX_LEVELS = 2 ** 20
 # Largest grid of the two-cell split search: it holds 32 bytes per point
 # (the grid and the objective's temporaries), so 2^22 points peak near
 # 128 MiB, the order of the one-shot frontier's peak.
@@ -136,25 +139,27 @@ def simulate_dithered_circle(levels: int, samples: int,
 
 def _simulate_circle(levels, samples, streams, offset_draw, to_offset,
                      noise_half, rate_bits):
-    """Per sample: draw theta uniform and the shared grid offset (by
-    ``offset_draw``, mapped in place by ``to_offset``), transmit the nearest
-    cell of the offset L-cell grid, reconstruct at its center plus private
-    noise uniform on (-noise_half, noise_half), if nonzero.  A
-    ``rate_bits`` of None reports the index entropy as the rate.
+    """Per sample: draw theta uniform (mapped in place as 2 pi U - pi) and
+    the shared grid offset (by ``offset_draw``, mapped in place by
+    ``to_offset``), transmit the nearest cell of the offset L-cell grid,
+    reconstruct at its center plus private noise uniform on (-noise_half,
+    noise_half), if nonzero.  A ``rate_bits`` of None reports the index
+    entropy as the rate.  L beyond MAX_LEVELS is refused before anything
+    is allocated.
 
     The offset lies within half a cell of 0 and theta in [-pi, pi], so the
     cell index i stays within L//2 + 1 of 0; the step counts bin
     i + L//2 + 2, always in range, and the run folds the bins modulo L.
     """
+    if levels > MAX_LEVELS:
+        raise ValueError(f"levels must be <= {MAX_LEVELS}, got {levels}")
     cell = math.tau / levels
     shift = levels // 2 + 2
 
-    def prepare(theta, offset, *noise):
+    def step(theta, offset, *noise, out):
         theta *= math.tau
         theta -= math.pi
         to_offset(offset)
-
-    def step(theta, offset, *noise, out):
         err2, bins, theta_hat = out
         t = np.subtract(theta, offset, out=err2)
         t /= cell
@@ -174,7 +179,7 @@ def _simulate_circle(levels, samples, streams, offset_draw, to_offset,
 
     draws = (DOUBLES, offset_draw) + ((DOUBLES,) if noise_half else ())
     dist, counts, recon = simulate_chunks(
-        streams, samples, draws, prepare, step, 2 * shift + 1)
+        streams, samples, draws, step, 2 * shift + 1)
     counts = _fold(counts, shift, levels)
     index_entropy = plugin_entropy(counts)
     return ExperimentResult(

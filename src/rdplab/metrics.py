@@ -6,10 +6,10 @@ with its acceptance threshold, and :func:`simulate_chunks`, the one engine
 every simulator runs: each 1024-sample block takes its raw Philox words
 from its own substream (see ``rng``) into its row of a word matrix.  Once
 per chunk of CHUNK_BLOCKS blocks the matrix's columns become uniforms and
-offsets, the simulator's affine maps run, and then its arithmetic, its
-guards and the moment updates, in place in arrays the engine allocates
-once per run.  Moments are still merged block by block, so no chunk
-length changes a result.
+offsets, and the simulator's one step runs on them: its affine maps, its
+arithmetic and its guards, in place in arrays the engine allocates once
+per run; then the moment updates and the bin counts.  Moments are still
+merged block by block, so no chunk length changes a result.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ class RunningMoments:
         return 3.0 * math.sqrt(self.variance()) / math.sqrt(self.n)
 
 
-def simulate_chunks(streams, samples: int, draws, prepare, step,
-                    n_bins: int, work: int = 0):
+def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
+                    work: int = 0):
     """Run one Monte Carlo simulation over the sample blocks of ``streams``.
 
     Every array is allocated once per run, for a chunk of at most
@@ -150,16 +150,19 @@ def simulate_chunks(streams, samples: int, draws, prepare, step,
     of each run of columns between them in one ``random_raw`` call into its
     row; a short last block takes each draw's words in a call of their own,
     at the draw's first column.  Once per chunk the draws turn their
-    columns into numbers and ``prepare(*inputs)`` maps them in place.  Then
-    ``step(*inputs, out=(err2, bins, recon, *work))`` simulates the chunk:
-    it writes per-sample squared errors, integer bins in [0, n_bins) and
-    reconstructions into the first three arrays of ``out``, and may use
-    all of them as scratch, but never writes into its inputs.  So a chunk
-    that raises is replayed block by block from the same arrays and raises
-    what its first faulty block raises.  Bins are counted with
-    ``np.bincount``, or with ``np.add.at`` when there are more bins than
-    rows.  Returns the distortion moments (merged block by block), the bin
-    counts and the reconstructions of all samples in sample order.
+    columns into numbers, and ``step(*inputs, out=(err2, bins, recon,
+    *work))`` simulates the chunk: it writes per-sample squared errors,
+    integer bins in [0, n_bins) and reconstructions into the first three
+    arrays of ``out``, and may use all of them as scratch.  A step may map
+    its inputs in place, since every draw refills its input each chunk,
+    but for one: a draw that draws nothing (``Offsets(1)``) leaves the
+    zeros of the allocation, which each chunk's step reads as the previous
+    chunk's step left them, so a step must map such an input's 0 to 0.  A
+    step that raises ends the run, so a faulty sample must be named in
+    sample order for every chunk length to name the same one.  Bins are
+    counted with ``np.add.at``.  Returns the distortion moments (merged
+    block by block), the bin counts and the reconstructions of all samples
+    in sample order.
     """
     blocks = min(CHUNK_BLOCKS, -(-samples // BLOCK))
     rows = blocks * BLOCK
@@ -202,22 +205,11 @@ def simulate_chunks(streams, samples: int, draws, prepare, step,
         for draw, i, cols in words:
             draw.numbers(raw[:row + 1, cols],
                          inputs[i][:at + BLOCK].reshape(row + 1, BLOCK))
-        views = [buf[:filled] for buf in inputs]
-        prepare(*views)
         out = [err2[:filled], bins[:filled], recon[drawn - filled:drawn],
                *(buf[:filled] for buf in scratch)]
-        try:
-            step(*views, out=out)
-        except ValueError:
-            for b in range(0, filled, BLOCK):
-                step(*(v[b:b + BLOCK] for v in views),
-                     out=[o[b:b + BLOCK] for o in out])
-            raise
+        step(*(buf[:filled] for buf in inputs), out=out)
         dist.update(out[0], BLOCK, overwrite_values=True)
-        if n_bins > rows:       # a bincount would be longer than the chunk
-            np.add.at(counts, out[1], 1)
-        else:
-            counts += np.bincount(out[1], minlength=n_bins)
+        np.add.at(counts, out[1], 1)
     return dist, counts, recon
 
 

@@ -193,9 +193,10 @@ class Offsets:
     """Offset indices in [0, n), as ``Generator.integers(0, n, size)``
     draws them, in an input array of ``dtype``.  A power-of-two n <= 2^32
     takes ceil(size/2) raw words per block, made numbers by
-    :func:`offsets`; n = 1 draws nothing and leaves the engine's zeros;
-    any other n may reject and redraw, so it calls ``integers`` per
-    block."""
+    :func:`offsets`; n = 1 draws nothing and leaves the zeros the engine
+    allocated once per run, so a step that maps its offsets in place must
+    map 0 to 0; any other n may reject and redraw, so it calls
+    ``integers`` per block."""
 
     n: int
     dtype: type = np.int64

@@ -88,9 +88,9 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # the engine counts about L bins per run, and its entropy reads them
         if (self.scheme in ("circle-staggered", "circle-dithered")
-                and self.levels > stagger.MAX_TABLE_CODES):
+                and self.levels > circle.MAX_LEVELS):
             raise ValueError(
-                f"levels (--L) must lie in [1, {stagger.MAX_TABLE_CODES}] "
+                f"levels (--L) must lie in [1, {circle.MAX_LEVELS}] "
                 f"for {self.scheme}, got {self.levels}")
         if self.scheme == "circle-dithered" and self.offsets != 1:
             raise ValueError(

@@ -248,24 +248,35 @@ def _decode_rows(table: BoundaryTable, k, u, out=None, work=(None,) * 3):
     """``decode`` of the codes on the table rows k = j - j_first.  ``out``
     and the three ``work`` arrays, float arrays shaped like k, take the
     draws and the gathered intervals in place of fresh arrays."""
-    if np.min(k, initial=0) < 0 or np.max(k, initial=0) >= table.codes.size:
-        j = np.ravel(k) + table.j_first
-        bad = int(j[(j < table.j_first) | (j > table.j_last)][0])
-        raise InactiveCodeError(f"code {bad} outside the active table")
     fa_k, a_k, b_k = work
-    # every row is in range, so "clip" takes the rows that "raise" would
-    # take, without raise's buffered copy into out
+    # "clip" gathers the rows that "raise" would, without raise's buffered
+    # copy into out; a row outside the table is refused below
     fa = np.take(table.fa, k, out=fa_k, mode="clip")
     fb = np.take(table.fb, k, out=out, mode="clip")
-    width = np.subtract(fb, fa, out=a_k)
-    # fmin skips NaN, as the comparison does
-    if np.fmin.reduce(width, axis=None, initial=math.inf) < DEGENERATE_MASS:
-        bad = int(np.ravel(k)[np.ravel(width) < DEGENERATE_MASS][0])
-        raise InactiveCodeError(f"code {bad + table.j_first} has a "
-                                f"degenerate interval")
+    _refuse_faulty_rows(table, k, np.subtract(fb, fa, out=a_k))
     a = np.take(table.a, k, out=a_k, mode="clip")
     b = np.take(table.b, k, out=b_k, mode="clip")
     return draw_truncated(table.spec.source, a, b, fa, fb, u, out=out)
+
+
+def _refuse_faulty_rows(table: BoundaryTable, k, width) -> None:
+    """Refuse the table rows ``k`` if one lies outside the table or has a
+    decoder interval holding less than DEGENERATE_MASS (``width`` gives
+    F(b) - F(a) per row; it is read only for rows inside).  The
+    InactiveCodeError names the first faulty row in the order of ``k``,
+    whichever check it fails, so a run names the same code at any chunk
+    length."""
+    k, width = np.ravel(k), np.ravel(width)
+    # fmin skips NaN, as the comparison does
+    if (np.min(k, initial=0) >= 0 and np.max(k, initial=0) < table.codes.size
+            and np.fmin.reduce(width, initial=math.inf) >= DEGENERATE_MASS):
+        return
+    outside = (k < 0) | (k >= table.codes.size)
+    bad = int(np.argmax(outside | (width < DEGENERATE_MASS)))
+    code = int(k[bad]) + table.j_first
+    if outside[bad]:
+        raise InactiveCodeError(f"code {code} outside the active table")
+    raise InactiveCodeError(f"code {code} has a degenerate interval")
 
 
 @dataclass(frozen=True)
@@ -350,11 +361,8 @@ def exact_code_distribution(spec: StaggeredSpec) -> CodeDistribution:
     table = build_boundaries(spec)
     n_off = spec.n_offsets
     codes, prob = table.codes, table.prob
-    # the decoder's own test, so both routes refuse the same codes
-    empty = table.fb - table.fa < DEGENERATE_MASS
-    if np.any(empty):
-        raise InactiveCodeError(
-            f"code {int(codes[empty][0])} has a degenerate interval")
+    # the decoder's own refusal, so both routes refuse the same codes
+    _refuse_faulty_rows(table, np.arange(codes.size), table.fb - table.fa)
 
     per_mass = [m * n_off for m in _by_offset(prob, table.j_first, n_off)]
     per_ent = [entropy_bits(m) for m in per_mass]
@@ -391,10 +399,8 @@ def simulate_pipeline(spec: StaggeredSpec, samples: int,
     table = build_boundaries(spec)
     n_off = spec.n_offsets
 
-    def prepare(x, n, u):
-        spec.source.from_standard(x)
-
     def step(x, n, u, out):
+        spec.source.from_standard(x)
         err2, k, xhat, *work = out
         encode(spec, x, n, out=k, work=err2)
         # table rows k = j - j_first of the codes j = N*i + n
@@ -405,8 +411,8 @@ def simulate_pipeline(spec: StaggeredSpec, samples: int,
         np.square(np.subtract(x, xhat, out=err2), out=err2)
 
     draws = (spec.source.standard, Offsets(n_off), DOUBLES)
-    dist, counts, recon = simulate_chunks(streams, samples, draws, prepare,
-                                          step, table.codes.size, work=2)
+    dist, counts, recon = simulate_chunks(streams, samples, draws, step,
+                                          table.codes.size, work=2)
     per_offset = _by_offset(counts, table.j_first, n_off)
     return ExperimentResult(
         rate_bits=avg_conditional_entropy(c for c in per_offset if c.any()),

@@ -5,11 +5,11 @@ block's generator from ``SeedSequence(seed, spawn_key=(k,))`` itself,
 keeps every sample's code, counts codes with ``np.unique``, merges
 moments one block at a time and inlines the clamped inverse-CDF decoder.
 The simulators run on ``metrics.simulate_chunks``, which draws per block
-but computes per chunk, count with ``np.bincount`` and share
+but computes per chunk, counts with ``np.add.at`` and shares
 ``sources.draw_truncated``; every field of their results must equal the
-reference bit for bit, at any chunk length.  The two circle simulators share one step, the dithered
-coder being its continuous-offset case, so the two circle references pin
-that step from both sides.
+reference bit for bit, at any chunk length.  The two circle simulators
+share one step, the dithered coder being its continuous-offset case, so
+the two circle references pin that step from both sides.
 """
 
 import dataclasses
@@ -246,10 +246,35 @@ def test_chunk_length_changes_no_result(monkeypatch, name, samples):
     assert results[0] == results[1] == results[2]
 
 
+# Offsets(1) draws nothing, so each chunk's step reads the zeros the engine
+# allocated once per run, as the previous chunk's step left them; the
+# pipeline's first table row is code -14, not 0
+GAUSS_N1 = StaggeredSpec(GaussianSource(0.0, 1.0), 0.5, 1)
+UNDRAWN_OFFSETS = {
+    "staggered-circle": (
+        lambda n: simulate_staggered_circle(3, 1, n, SampleStreams(37)),
+        lambda n: reference_staggered_circle(3, 1, n, SampleStreams(37))),
+    "pipeline": (
+        lambda n: simulate_pipeline(GAUSS_N1, n, SampleStreams(37)),
+        lambda n: reference_pipeline(GAUSS_N1, n, SampleStreams(37))),
+}
+
+
+@pytest.mark.parametrize("name", UNDRAWN_OFFSETS)
+def test_chunk_length_keeps_undrawn_offsets(monkeypatch, name):
+    # 34 blocks: more than one chunk at every chunk length
+    simulate, reference = UNDRAWN_OFFSETS[name]
+    samples = 34_000
+    want = dataclasses.asdict(reference(samples))
+    for chunk_blocks in _chunk_lengths():
+        monkeypatch.setattr(metrics, "CHUNK_BLOCKS", chunk_blocks)
+        assert dataclasses.asdict(simulate(samples)) == want
+
+
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 def test_chunk_length_changes_no_decoder_error(monkeypatch, samples):
-    # a failing chunk is replayed block by block, so the error is the one
-    # its first faulty block raises
+    # the decoder names the first faulty sample in sample order, which no
+    # chunk length moves
     spec = StaggeredSpec(UniformSource(0.0, 1.0), 0.25, 2, origin=0.125,
                          literal_paper_indexing=True)
     messages = []
@@ -273,42 +298,19 @@ def test_runs_share_no_scratch():
     assert dataclasses.asdict(again) == dataclasses.asdict(first)
 
 
-class _IndexStreams:
-    """Streams whose block 'generator' is the block index itself."""
-
-    def iter_blocks(self, n_samples):
-        for k in range(math.ceil(n_samples / BLOCK)):
-            yield k, min(BLOCK, n_samples - k * BLOCK), k
-
-
-class _IndexDraw:
-    """Draw that fills its block's slice with the block 'generator'."""
-
-    dtype = np.int64
-
-    @staticmethod
-    def draw(k, out):
-        out.fill(k)
-
-
-def test_failing_chunk_raises_what_its_first_faulty_block_raises(monkeypatch):
-    # block k draws k; a step checks 'high' (k == 4) before 'low' (k >= 2),
-    # so a whole chunk would name block 4, the block-by-block loop block 2
-    def step(v, out):
-        if np.any(v == 4):
-            raise ValueError("high block 4")
-        if np.any(v >= 2):
-            raise ValueError(f"low block {v[v >= 2][0]}")
-        err2, bins, recon = out
-        err2.fill(0.0)
-        bins[...] = v
-        recon[...] = v
-
-    for chunk_blocks in _chunk_lengths():
-        monkeypatch.setattr(metrics, "CHUNK_BLOCKS", chunk_blocks)
-        with pytest.raises(ValueError, match="^low block 2$"):
-            metrics.simulate_chunks(_IndexStreams(), 8 * BLOCK,
-                                    (_IndexDraw(),), lambda v: None, step, 8)
+@pytest.mark.parametrize("codes, message", [
+    ([3, 0, 8], "code 0 has a degenerate interval"),
+    ([3, 8, 0], "code 8 outside the active table"),
+])
+def test_decoder_names_its_first_faulty_code(codes, message):
+    # codes -1 and 0 of this literal-mode table hold no mass, and 8 lies
+    # past its last code; whichever check fails, the earlier code is named
+    spec = StaggeredSpec(UniformSource(0.0, 1.0), 0.25, 2, origin=0.125,
+                         literal_paper_indexing=True)
+    table = build_boundaries(spec)
+    assert table.codes.tolist() == list(range(-1, 8))
+    with pytest.raises(InactiveCodeError, match=f"^{message}$"):
+        stagger.decode(table, np.array(codes), np.zeros(len(codes)))
 
 
 def _engine_excess(monkeypatch, samples):

@@ -216,6 +216,25 @@ def test_circle_at_the_levels_cap_counts_without_a_chunk_long_bincount(
     assert whole < 34 * 2 ** 20
 
 
+@pytest.mark.parametrize("simulate", [
+    lambda levels: simulate_staggered_circle(levels, 1, 1, SampleStreams(0)),
+    lambda levels: simulate_dithered_circle(levels, 1, SampleStreams(0)),
+], ids=["staggered", "dithered"])
+def test_circle_simulators_refuse_levels_past_the_cap(simulate):
+    # refused before the L-sized bins are allocated, which take about
+    # 17 MiB at this L even for one sample
+    assert circle.MAX_LEVELS == 2 ** 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^levels must be <= 1048576, "
+                                             r"got 1048577$"):
+            simulate(circle.MAX_LEVELS + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5, 7, 64])
 def test_bin_fold_counts_each_index_mod_levels(levels):
     # the circle step counts bin i + shift for cell index i; the fold must
