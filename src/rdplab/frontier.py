@@ -26,8 +26,9 @@ import math
 import numpy as np
 
 from .circle import FrontierPoint
-# kept for benchmarks/tracing.py, which patches it (ROADMAP item 1)
-from .quadrature import adaptive_simpson  # noqa: F401
+
+# benchmarks/tracing.py patches this name until ROADMAP item 1 lands
+adaptive_simpson = None
 
 # cos z - 1 = -2 sin^2(z/2) on the 2048 trapezoid nodes, exact near z = 0
 _COS_M1 = -2.0 * np.sin(np.arange(2048) * (math.pi / 2048)) ** 2
@@ -185,14 +186,19 @@ def gaussian_rdp_reference(distortion: float, sigma: float,
     0.5*log2(2 sigma^2 / D), zero at D = 2 sigma^2; R_c -> inf gives
     -0.5*log2(1 - (1 - d)^2).  Sharing one of N offsets is R_c = log2 N.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not 0.0 < distortion <= 2.0 * sigma ** 2:
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not (0.0 < distortion <= 2.0 * sigma * sigma
+            and math.isfinite(distortion)):
         raise ValueError(
             f"distortion must lie in (0, 2*sigma^2], got {distortion}")
     if not common_bits >= 0.0:
         raise ValueError(f"common_bits must be >= 0, got {common_bits}")
-    d = distortion / (2.0 * sigma ** 2)
+    # dividing by sigma twice keeps the ratio where 2 sigma^2 overflows
+    d = 0.5 * (distortion / sigma) / sigma
+    if d == 0.0:
+        raise ValueError(f"distortion/(2*sigma^2) underflows to 0 at "
+                         f"distortion {distortion}, sigma {sigma}")
     b = 2.0 ** (-2.0 * common_bits)
     a = 2.0 * d * (2.0 - d) / (
         (1.0 + b) + math.sqrt((1.0 - b) ** 2 + 4.0 * b * (1.0 - d) ** 2))

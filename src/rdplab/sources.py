@@ -78,6 +78,9 @@ class UniformSource:
     hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(
+                f"need finite lo and hi, got ({self.lo}, {self.hi})")
         if not self.hi > self.lo:
             raise ValueError(f"need lo < hi, got ({self.lo}, {self.hi})")
 
@@ -130,6 +133,9 @@ class GaussianSource:
     sigma: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise ValueError(
+                f"need finite mu and sigma, got ({self.mu}, {self.sigma})")
         if not self.sigma > 0:
             raise ValueError(f"need sigma > 0, got {self.sigma}")
         lo, hi = self.effective_support()
@@ -347,8 +353,6 @@ def parse_source(text: str) -> SourceModel:
         p1, p2 = (float(v) for v in tail.split(","))
     except Exception as exc:
         raise ValueError(f"malformed source parameters in {text!r}") from exc
-    if not (math.isfinite(p1) and math.isfinite(p2)):
-        raise ValueError(f"source parameters must be finite in {text!r}")
     if head == "uniform":
         return UniformSource(p1, p2)
     if head == "gauss":

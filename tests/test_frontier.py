@@ -302,6 +302,34 @@ def test_gaussian_reference_values():
         -0.5 * math.log2(1.0 - 0.75 ** 2), abs=1e-15)
 
 
+def test_gaussian_reference_at_extreme_sigma():
+    # 2 sigma^2 overflows from sigma ~ 1.34e154; the ratio D/(2 sigma^2)
+    # does not, and R = 0.5*log2(2 sigma^2 / D) = 1 + 155*log2(10) here
+    assert gaussian_rdp_reference(0.5, 1e155) == pytest.approx(
+        1.0 + 155.0 * math.log2(10.0), rel=1e-14)
+    # where the ratio itself underflows, the refusal says so
+    for distortion, sigma in ((0.5, 1e200), (1e-300, 1e100)):
+        with pytest.raises(ValueError, match="underflows"):
+            gaussian_rdp_reference(distortion, sigma)
+    for sigma in (math.inf, -math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            gaussian_rdp_reference(0.5, sigma)
+    with pytest.raises(ValueError, match="distortion"):
+        gaussian_rdp_reference(math.inf, 1e155)
+
+
+def test_gaussian_reference_keeps_its_bits_at_unit_sigma():
+    # at sigma = 1 the ratio 0.5*(D/sigma)/sigma is D/2, as D/(2 sigma^2) was
+    for distortion in np.linspace(0.01, 2.0, 37):
+        for bits in (0.0, 0.5, 2.0):
+            d = distortion / 2.0
+            b = 2.0 ** (-2.0 * bits)
+            a = 2.0 * d * (2.0 - d) / ((1.0 + b) + math.sqrt(
+                (1.0 - b) ** 2 + 4.0 * b * (1.0 - d) ** 2))
+            assert gaussian_rdp_reference(distortion, 1.0, bits) == max(
+                0.0, -0.5 * math.log2(a)), (distortion, bits)
+
+
 def test_import_loads_no_scipy_subpackage_but_special():
     # scipy.optimize alone costs about 22 MB of RSS and 0.3-0.6 s of import;
     # solvers and references stay on scipy.special

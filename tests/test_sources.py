@@ -431,6 +431,20 @@ def test_gaussian_round_trip_property(u):
     assert src.cdf(src.quantile(u)) == pytest.approx(u, abs=1e-9)
 
 
+@pytest.mark.parametrize("law,params,names", [
+    (UniformSource, (0.0, math.inf), "lo and hi"),
+    (UniformSource, (-math.inf, 0.0), "lo and hi"),
+    (UniformSource, (math.nan, 1.0), "lo and hi"),
+    (GaussianSource, (0.0, math.inf), "mu and sigma"),
+    (GaussianSource, (math.nan, 1.0), "mu and sigma"),
+    (GaussianSource, (math.inf, 1.0), "mu and sigma"),
+    (GaussianSource, (-math.inf, 1.0), "mu and sigma"),
+])
+def test_constructors_refuse_non_finite_parameters(law, params, names):
+    with pytest.raises(ValueError, match=f"need finite {names}"):
+        law(*params)
+
+
 def test_parse_source():
     assert parse_source("uniform:0,1") == UniformSource(0.0, 1.0)
     assert parse_source("gauss:0,1") == GaussianSource(0.0, 1.0)
