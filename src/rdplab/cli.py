@@ -54,15 +54,12 @@ def _add_scalar_flags(sp):
     sp.add_argument("--origin", type=float, default=0.0,
                     help="grid anchor (cell edges of offset 0 at origin + "
                          "(k+1/2)*delta)")
-    sp.add_argument("--literal-paper-indexing", action="store_true",
-                    help="use the unshifted boundary indexing (comparison mode)")
 
 
 def _scalar_config(args, **extra) -> simlab.ExperimentConfig:
     return simlab.ExperimentConfig(
         scheme="scalar-staggered", source=args.source, delta=args.delta,
-        offsets=args.offsets, origin=args.origin,
-        literal_paper_indexing=args.literal_paper_indexing, **extra)
+        offsets=args.offsets, origin=args.origin, **extra)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,10 +21,9 @@ hashes the keys of a whole range of blocks in uint32 numpy arithmetic,
 with the multipliers of numpy's SeedSequence: 0.2 ms per 1024 keys, and
 one SeedSequence per range rather than one per block.  A run takes its
 keys in ranges of KEY_BLOCKS blocks and builds one generator, for its
-first block, which takes its key through :class:`_BlockKey`, a minimal
-``ISeedSequence``.
-:meth:`SampleStreams.iter_blocks` re-keys that generator to each further
-block through :meth:`SampleStreams.block`, which sets numpy's public
+first block, as ``Philox(key=key)``.  :meth:`SampleStreams.iter_blocks`
+re-keys that generator to each further block through
+:meth:`SampleStreams.block`, which sets numpy's public
 ``bit_generator.state`` to exactly a freshly built block generator's: the
 block's key, counter 0, an empty buffer (``buffer_pos`` 4) and no spare
 32-bit half-word (``has_uint32`` and ``uinteger`` 0).  So a yielded
@@ -63,7 +62,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # Substream granularity in samples.  Execution chunks are whole numbers
 # of blocks, so chunking never changes which stream produced which sample.
@@ -95,20 +93,6 @@ def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
     """SeedSequence's hashmix of each row of ``values`` with its constant."""
     v = (values ^ consts[0]) * consts[1]
     return v ^ (v >> 16)
-
-
-class _BlockKey(ISeedSequence):
-    """Seed sequence whose state is one precomputed Philox key: Philox asks
-    for ``generate_state(2, np.uint64)``, its 128-bit key, and nothing
-    else."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.key
 
 
 def _fresh_state(key) -> dict:
@@ -263,7 +247,9 @@ class SampleStreams:
         if key is None:
             key = self.keys(index, index + 1)[0]
         if into is None:
-            return np.random.Generator(np.random.Philox(_BlockKey(key)))
+            # Philox reads a list whose words straddle 2^63 as float64
+            return np.random.Generator(
+                np.random.Philox(key=np.array(key, dtype=np.uint64)))
         into.bit_generator.state = _fresh_state(key)
         return into
 

@@ -23,15 +23,6 @@ from .sources import parse_source
 SCHEMES = ("circle-staggered", "circle-dithered", "scalar-staggered", "frontier")
 
 
-def _parse_bool(text: str) -> bool:
-    word = text.lower()
-    if word in ("1", "true", "yes"):
-        return True
-    if word in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}")
-
-
 def parse_count(text) -> int:
     """An integer count, within +/-2^53 so that it is exact as a double."""
     value = int(text)
@@ -60,7 +51,6 @@ CONFIG_KEYS = {
     "samples": ("n_samples", parse_count, True),
     "seed": ("seed", parse_seed, True),
     "origin": ("origin", float, False),
-    "literal_paper_indexing": ("literal_paper_indexing", _parse_bool, False),
 }
 
 
@@ -77,7 +67,6 @@ class ExperimentConfig:
     n_samples: int = 100_000
     seed: int = 0
     origin: float = 0.0
-    literal_paper_indexing: bool = False
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -131,19 +120,11 @@ def _result_row(scheme: str, params: str, res) -> dict:
 
 def staggered_spec(config: ExperimentConfig) -> tuple[stagger.StaggeredSpec, str]:
     """The scalar staggered spec of a config and the params string that
-    labels its rows (ending in ``;literal`` in the literal indexing mode)."""
-    spec = stagger.StaggeredSpec(
-        source=parse_source(config.source),
-        delta=config.delta,
-        n_offsets=config.offsets,
-        origin=config.origin,
-        literal_paper_indexing=config.literal_paper_indexing,
-    )
-    params = (f"source={config.source};delta={fmt(config.delta)};"
-              f"N={config.offsets};origin={fmt(config.origin)}")
-    if config.literal_paper_indexing:
-        params += ";literal"
-    return spec, params
+    labels its rows."""
+    spec = stagger.StaggeredSpec(parse_source(config.source), config.delta,
+                                 config.offsets, config.origin)
+    return spec, (f"source={config.source};delta={fmt(config.delta)};"
+                  f"N={config.offsets};origin={fmt(config.origin)}")
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:

@@ -81,8 +81,11 @@ class UniformSource:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(
                 f"need finite lo and hi, got ({self.lo}, {self.hi})")
-        if not self.hi > self.lo:
-            raise ValueError(f"need lo < hi, got ({self.lo}, {self.hi})")
+        # an infinite width would make the CDF and density divide by inf
+        if not 0 < self.hi - self.lo < math.inf:
+            raise ValueError(f"need lo < hi and a finite width, got "
+                             f"({self.lo}, {self.hi}) of width "
+                             f"{self.hi - self.lo:g}")
 
     def effective_support(self):
         return self.lo, self.hi
@@ -139,10 +142,10 @@ class GaussianSource:
         if not self.sigma > 0:
             raise ValueError(f"need sigma > 0, got {self.sigma}")
         lo, hi = self.effective_support()
-        if not lo < hi:
-            raise ValueError(f"mu +/- {GAUSS_SUPPORT_SIGMAS:g} sigma rounds "
-                             f"to one point at mu {self.mu:g}, "
-                             f"sigma {self.sigma:g}")
+        if not 0 < hi - lo < math.inf:
+            raise ValueError(f"mu +/- {GAUSS_SUPPORT_SIGMAS:g} sigma has "
+                             f"width {hi - lo:g} at mu {self.mu:g}, sigma "
+                             f"{self.sigma:g}; need a positive, finite width")
 
     def effective_support(self):
         half = GAUSS_SUPPORT_SIGMAS * self.sigma

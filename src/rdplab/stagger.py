@@ -13,10 +13,10 @@ interval [a(j), b(j)], where the boundaries are built so that
 
 and consecutive intervals tile the support (b(j) = a(j+1)).  The identity
 telescopes exactly when a(j) is placed at the quantile of the average of
-F at the cell edges j .. j+N-1.  The construction with the index argument
-shifted down by N (arguments j-N .. j-1) is retained behind
-``literal_paper_indexing`` for comparison; it breaks the mass identity and
-centers decoder intervals one full step away from their cells.
+F at the cell edges j .. j+N-1.  The index convention the paper prints
+(edges j-N .. j-1) moves every interval one full step away from its cell
+and breaks the mass identity; ``tests/reference_tables.py`` builds that
+table and ``tests/test_stagger.py`` pins its gaps.
 
 A table evaluates the source CDF once on its cell edges (reaching N codes
 past the candidate range on either side) and once on its boundaries; code
@@ -44,8 +44,8 @@ adaptive_simpson = None
 # tables; decoding them is a hard error rather than an extrapolation.
 ACTIVE_EPS = 1e-12
 
-# Tolerance on the telescoping mass identity; a violation beyond this in
-# the default indexing mode signals an implementation fault.
+# Tolerance on the telescoping mass identity; a violation beyond this
+# signals an implementation fault.
 MASS_TOL = 1e-9
 
 # Limit on the candidate codes a boundary table scans: a table build at
@@ -83,7 +83,6 @@ class StaggeredSpec:
     delta: float
     n_offsets: int
     origin: float = 0.0
-    literal_paper_indexing: bool = False
 
     def __post_init__(self):
         if not (self.delta > 0 and math.isfinite(self.delta)):
@@ -192,14 +191,12 @@ def build_boundaries(spec: StaggeredSpec) -> BoundaryTable:
     codes = np.arange(j_min + first, j_min + last + 1)
     prob = prob[first:last + 1]
 
-    # a(j) at the quantile of the average of F over N consecutive cell
-    # edges; the literal mode uses edges j-N .. j-1 instead of j .. j+N-1.
-    # Each table code carries mass, so every interior average is below 1;
-    # it can be 0 only in literal mode, where the clipped quantile is lo.
-    shift = 0 if spec.literal_paper_indexing else n_off
+    # a(j) at the quantile of the average of F over the cell edges
+    # j .. j+N-1.  Each table code carries mass, so every interior average
+    # lies in (0, 1).
     u = np.zeros(codes.size + 1)
     for k in range(1, n_off + 1):
-        e = first + n_off + shift - k
+        e = first + 2 * n_off - k
         u += f_edges[e:e + u.size]
     u /= n_off
     # the first and last intervals reach the support edges, so they absorb
@@ -222,11 +219,10 @@ def build_boundaries(spec: StaggeredSpec) -> BoundaryTable:
         cell_lo=cells[:codes.size],
         cell_hi=cells[n_off:],
     )
-    if not spec.literal_paper_indexing:
-        err = table.mass_identity_error()
-        if err > MASS_TOL:
-            raise RuntimeError(
-                f"mass identity violated by {err:.3e} (indexing fault?)")
+    err = table.mass_identity_error()
+    if err > MASS_TOL:
+        raise RuntimeError(
+            f"mass identity violated by {err:.3e} (indexing fault?)")
     return table
 
 
@@ -357,7 +353,7 @@ def exact_code_distribution(spec: StaggeredSpec) -> CodeDistribution:
     independent draw from the source restricted to [a(j), b(j)], so each
     code contributes its two conditional variances plus the squared gap of
     the conditional means.  A table code whose interval holds less than
-    DEGENERATE_MASS (literal mode) raises the decoder's error.
+    DEGENERATE_MASS raises the decoder's error.
     """
     table = build_boundaries(spec)
     n_off = spec.n_offsets

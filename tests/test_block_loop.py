@@ -28,7 +28,8 @@ from rdplab.rng import BLOCK, SampleStreams
 from rdplab.sources import (DEGENERATE_MASS, CircleSource, GaussianSource,
                             UniformSource)
 from rdplab.stagger import (ACTIVE_EPS, InactiveCodeError, StaggeredSpec,
-                            build_boundaries, encode, simulate_pipeline)
+                            encode, simulate_pipeline)
+from reference_tables import paper_table
 
 SAMPLE_COUNTS = (1000, 3000, 20480)   # 3000 is not a multiple of the block
 TWO_PI = 2.0 * math.pi
@@ -117,7 +118,7 @@ def _reference_decode(table, j, rng):
 
 def reference_pipeline(spec, samples, streams):
     """Per-block pipeline loop; the rate averages the offsets drawn."""
-    table = build_boundaries(spec)
+    table = stagger.build_boundaries(spec)
     n_off = spec.n_offsets
     dist = RunningMoments()
     j_parts, n_parts, recon_parts = [], [], []
@@ -169,15 +170,13 @@ def test_dithered_circle_matches_reference(levels, samples):
     assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
-# offset counts 2, 3, 2, 2, then 4 (the benchmark's Gaussian pipeline),
+# offset counts 2, 2, 3, then 4 (the benchmark's Gaussian pipeline),
 # 1 (no offset drawn) and 64: the engine reads power-of-two offsets from
 # raw words, the references call rng.integers
 PIPELINE_SPECS = [
     StaggeredSpec(UniformSource(0.0, 1.0), 0.25, 2, origin=0.125),
     StaggeredSpec(GaussianSource(0.0, 1.0), 0.5, 2),
     StaggeredSpec(CircleSource(), math.pi / 2, 3),
-    StaggeredSpec(GaussianSource(0.0, 1.0), 0.5, 2,
-                  literal_paper_indexing=True),
     StaggeredSpec(GaussianSource(0.0, 1.0), 0.25, 4),
     StaggeredSpec(UniformSource(0.0, 1.0), 0.25, 1, origin=0.125),
     StaggeredSpec(UniformSource(0.0, 1.0), 1.0, 64),
@@ -186,8 +185,8 @@ PIPELINE_SPECS = [
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("spec", PIPELINE_SPECS,
-                         ids=["uniform", "gauss", "circle", "gauss-literal",
-                              "gauss-mc", "uniform-n1", "uniform-n64"])
+                         ids=["uniform", "gauss", "circle", "gauss-mc",
+                              "uniform-n1", "uniform-n64"])
 def test_pipeline_matches_reference(spec, samples):
     got = simulate_pipeline(spec, samples, SampleStreams(29))
     want = reference_pipeline(spec, samples, SampleStreams(29))
@@ -202,14 +201,17 @@ def test_pipeline_with_undrawn_offsets_matches_reference(samples):
     assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
+# the aligned uniform spec, whose table in the paper's printed index
+# convention starts with two codes that hold no mass
+ALIGNED_N2 = PIPELINE_SPECS[0]
+
+
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
-def test_literal_indexing_fault_matches_reference(samples):
-    spec = StaggeredSpec(UniformSource(0.0, 1.0), 0.25, 2, origin=0.125,
-                         literal_paper_indexing=True)
+def test_literal_indexing_fault_matches_reference(paper_tables, samples):
     with pytest.raises(InactiveCodeError) as got:
-        simulate_pipeline(spec, samples, SampleStreams(0))
+        simulate_pipeline(ALIGNED_N2, samples, SampleStreams(0))
     with pytest.raises(InactiveCodeError) as want:
-        reference_pipeline(spec, samples, SampleStreams(0))
+        reference_pipeline(ALIGNED_N2, samples, SampleStreams(0))
     assert str(got.value) == str(want.value)
 
 
@@ -272,16 +274,15 @@ def test_chunk_length_keeps_undrawn_offsets(monkeypatch, name):
 
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
-def test_chunk_length_changes_no_decoder_error(monkeypatch, samples):
+def test_chunk_length_changes_no_decoder_error(monkeypatch, paper_tables,
+                                               samples):
     # the decoder names the first faulty sample in sample order, which no
     # chunk length moves
-    spec = StaggeredSpec(UniformSource(0.0, 1.0), 0.25, 2, origin=0.125,
-                         literal_paper_indexing=True)
     messages = []
     for chunk_blocks in _chunk_lengths():
         monkeypatch.setattr(metrics, "CHUNK_BLOCKS", chunk_blocks)
         with pytest.raises(InactiveCodeError) as got:
-            simulate_pipeline(spec, samples, SampleStreams(0))
+            simulate_pipeline(ALIGNED_N2, samples, SampleStreams(0))
         messages.append(str(got.value))
     assert messages[0] == messages[1] == messages[2]
 
@@ -303,11 +304,9 @@ def test_runs_share_no_scratch():
     ([3, 8, 0], "code 8 outside the active table"),
 ])
 def test_decoder_names_its_first_faulty_code(codes, message):
-    # codes -1 and 0 of this literal-mode table hold no mass, and 8 lies
-    # past its last code; whichever check fails, the earlier code is named
-    spec = StaggeredSpec(UniformSource(0.0, 1.0), 0.25, 2, origin=0.125,
-                         literal_paper_indexing=True)
-    table = build_boundaries(spec)
+    # codes -1 and 0 of the paper's table hold no mass, and 8 lies past
+    # its last code; whichever check fails, the earlier code is named
+    table = paper_table(ALIGNED_N2)
     assert table.codes.tolist() == list(range(-1, 8))
     with pytest.raises(InactiveCodeError, match=f"^{message}$"):
         stagger.decode(table, np.array(codes), np.zeros(len(codes)))

@@ -10,8 +10,8 @@ import pytest
 from rdplab import circle, simlab
 from rdplab.cli import CSV_HEADER, cli_dispatch
 from rdplab.sources import GaussianSource
-from rdplab.stagger import (InactiveCodeError, StaggeredSpec, build_boundaries,
-                            decode)
+from rdplab.stagger import InactiveCodeError, StaggeredSpec, decode
+from reference_tables import paper_table
 
 
 def run_cli(capsys, *argv):
@@ -63,17 +63,15 @@ def test_scalar_exact_rates(capsys):
     assert stag[1].endswith(";pooled_H=0") and stag[2] == "0"
 
 
-def test_scalar_exact_labels_literal_mode_like_simulate(capsys):
-    # one of the few literal specs without a degenerate interval
-    spec = ["--source", "gauss:0,1", "--delta", "0.25", "--origin", "0.1",
-            "--literal-paper-indexing"]
+def test_scalar_exact_labels_rows_like_simulate(capsys):
+    spec = ["--source", "gauss:0,1", "--delta", "0.25", "--origin", "0.1"]
     code, out, _ = run_cli(capsys, "scalar-exact", *spec)
     assert code == 0
     exact = parse_csv(out)[0][1]
     code, out, _ = run_cli(capsys, "scalar-simulate", *spec, "--samples", "1024")
     assert code == 0
     simulated = parse_csv(out)[0][1]
-    assert simulated.endswith(";literal")
+    assert simulated == "source=gauss:0,1;delta=0.25;N=1;origin=0.1"
     assert exact.startswith(simulated + ";pooled_H=")
 
 
@@ -108,11 +106,12 @@ def test_rdp_frontier_from_tiny_lambda(capsys):
     assert all(a < b for a, b in zip(rates, rates[1:]))
 
 
-def test_scalar_exact_literal_mode_rejects_an_empty_interval(capsys):
-    # on the aligned uniform grid the literal table's first code has an
+def test_scalar_exact_literal_mode_rejects_an_empty_interval(capsys,
+                                                             paper_tables):
+    # on the aligned uniform grid the paper's table's first code has an
     # empty interval: both routes refuse it with the decoder's error
     spec = ["--source", "uniform:0,1", "--delta", "0.25", "--offsets", "2",
-            "--origin", "0.125", "--literal-paper-indexing"]
+            "--origin", "0.125"]
     errors = []
     for argv in (["scalar-exact", *spec],
                  ["scalar-simulate", *spec, "--samples", "1024"]):
@@ -123,16 +122,15 @@ def test_scalar_exact_literal_mode_rejects_an_empty_interval(capsys):
         "rdplab: error: code -1 has a degenerate interval\n"
 
 
-def test_scalar_exact_literal_mode_rejects_a_degenerate_interval(capsys):
-    # codes -30 .. -23 of this literal table have intervals holding less
+def test_scalar_exact_literal_mode_rejects_a_degenerate_interval(
+        capsys, paper_tables):
+    # codes -30 .. -23 of the paper's table have intervals holding less
     # than DEGENERATE_MASS but more than nothing; the exact route refuses
     # the first with the decoder's own error instead of summing over them
-    spec = ["--source", "gauss:0,1", "--delta", "2", "--offsets", "8",
-            "--literal-paper-indexing"]
+    spec = ["--source", "gauss:0,1", "--delta", "2", "--offsets", "8"]
     code, out, err = run_cli(capsys, "scalar-exact", *spec)
     assert code == 1 and out == ""
-    table = build_boundaries(StaggeredSpec(GaussianSource(0.0, 1.0), 2.0, 8,
-                                           literal_paper_indexing=True))
+    table = paper_table(StaggeredSpec(GaussianSource(0.0, 1.0), 2.0, 8))
     k = -30 - table.j_first
     assert table.b[k] > table.a[k] and table.fb[k] - table.fa[k] < 1e-12
     with pytest.raises(InactiveCodeError) as exc:
@@ -228,6 +226,14 @@ def test_out_of_range_scales_exit_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("rdplab: error:") and "Traceback" not in err
+
+
+def test_overflowing_law_exits_one_with_its_own_message(capsys):
+    # the law refuses its infinite width before a table counts its codes
+    code, out, err = run_cli(capsys, *exact("gauss:0,1e308", "1e300"))
+    assert code == 1 and out == ""
+    assert err == ("rdplab: error: mu +/- 10 sigma has width inf at mu 0, "
+                   "sigma 1e+308; need a positive, finite width\n")
 
 
 # the largest integer flag accepted, and one beyond the float range
@@ -352,14 +358,22 @@ def test_sweep_rejects_empty_values(tmp_path, capsys, values):
     assert "Traceback" not in err
 
 
-def test_sweep_rejects_misspelt_boolean(tmp_path, capsys):
-    cfg = tmp_path / "typo.cfg"
+def test_removed_literal_flag_and_key_fail_cleanly(tmp_path, capsys):
+    # the paper's index convention is no setting: its flag is unknown to
+    # argparse and its config key is unknown to the config reader
+    code, out, err = run_cli(capsys, "scalar-simulate", "--source",
+                             "uniform:0,1", "--delta", "0.25", "--samples",
+                             "1024", "--literal-paper-indexing")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --literal-paper-indexing" in err
+    assert "Traceback" not in err
+    cfg = tmp_path / "old.cfg"
     cfg.write_text("scheme = scalar-staggered\nsource = uniform:0,1\n"
-                   "samples = 1024\nliteral_paper_indexing = ture\n")
+                   "samples = 1024\nliteral_paper_indexing = 1\n")
     code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == 1 and out == ""
-    assert err.startswith(f"rdplab: error: {cfg}:4: ")
-    assert "Traceback" not in err
+    assert err == (f"rdplab: error: {cfg}:4: unknown key "
+                   f"'literal_paper_indexing'\n")
 
 
 @pytest.mark.parametrize("key", ["levels", "offsets", "samples"])

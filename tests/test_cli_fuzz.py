@@ -48,8 +48,6 @@ def scalar_flags(draw):
              "--offsets", draw(ints(5))]
     if draw(st.booleans()):
         flags += ["--origin", draw(numbers)]
-    if draw(st.booleans()):
-        flags.append("--literal-paper-indexing")
     return flags
 
 
@@ -60,9 +58,7 @@ def config_text(draw):
     for key, values in [("source", sources), ("delta", numbers),
                         ("levels", ints(64)), ("offsets", ints(5)),
                         ("lambda", numbers), ("seed", ints(10)),
-                        ("origin", numbers),
-                        ("literal_paper_indexing",
-                         st.sampled_from(["1", "no", "ture"]))]:
+                        ("origin", numbers)]:
         if draw(st.booleans()):
             lines.append(f"{key} = {draw(values)}")
     lines.append(f"samples = {draw(st.integers(1, 2048))}")

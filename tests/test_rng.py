@@ -57,6 +57,18 @@ def test_block_generators_match_numpy(seed):
         assert_same_generator(streams.block(k), numpy_block(seed, k))
 
 
+@pytest.mark.parametrize("as_list", [True, False], ids=["tolist", "array"])
+def test_new_block_generator_takes_its_key_exactly(as_list):
+    # a listed key whose two words straddle 2^63 reads as float64 unless
+    # it is made uint64 first; about half the keys do so
+    streams = SampleStreams(5)
+    keys = streams.keys(0, 50)
+    assert 10 < np.sum((keys >= 2 ** 63).sum(axis=1) == 1) < 40
+    for k, key in enumerate(keys):
+        rng = streams.block(k, key.tolist() if as_list else key)
+        assert_same_generator(rng, numpy_block(5, k))
+
+
 def plain_state(rng):
     """A generator's ``bit_generator.state`` with its arrays as lists."""
     def plain(value):

@@ -122,11 +122,6 @@ def test_parse_config_file(tmp_path):
     row = run_experiment(cfg)[0]
     assert abs(row["distortion"]
                - staggered_circle_rd(2, 4).distortion) < 0.05
-    for text, value in (("1", True), ("true", True), ("Yes", True),
-                        ("0", False), ("FALSE", False), ("no", False)):
-        path.write_text("scheme = scalar-staggered\n"
-                        f"literal_paper_indexing = {text}\n")
-        assert parse_config_file(str(path)).literal_paper_indexing is value
 
 
 def test_parse_config_rejects_bad_input(tmp_path):
@@ -143,11 +138,12 @@ def test_parse_config_rejects_bad_input(tmp_path):
     out.write_text("scheme = frontier\nout = x.csv\n")
     with pytest.raises(ValueError, match="unknown key 'out'"):
         parse_config_file(str(out))
-    # a misspelt boolean is an error, not false
-    typo = tmp_path / "typo.cfg"
-    typo.write_text("scheme = scalar-staggered\nliteral_paper_indexing = ture\n")
-    with pytest.raises(ValueError, match=r"typo\.cfg:2: .*'ture'"):
-        parse_config_file(str(typo))
+    # the paper's index convention is no setting
+    old = tmp_path / "old.cfg"
+    old.write_text("scheme = scalar-staggered\nliteral_paper_indexing = 1\n")
+    with pytest.raises(ValueError, match=r"old\.cfg:2: unknown key "
+                                         r"'literal_paper_indexing'$"):
+        parse_config_file(str(old))
     count = tmp_path / "count.cfg"
     count.write_text("scheme = frontier\nsamples = 2.5\n")
     with pytest.raises(ValueError, match=r"count\.cfg:2: samples"):

@@ -445,6 +445,19 @@ def test_constructors_refuse_non_finite_parameters(law, params, names):
         law(*params)
 
 
+def test_constructors_refuse_an_infinite_width():
+    # the CDF and density would divide by the width
+    for law, params in ((UniformSource, (-1.7e308, 1.7e308)),
+                        (GaussianSource, (0.0, 1e308)),
+                        (GaussianSource, (1.7e308, 1e307))):
+        with pytest.raises(ValueError, match="width inf"):
+            law(*params)
+    # the widest laws left keep their values
+    wide = UniformSource(-8e307, 8e307)
+    assert wide.cdf(0.0) == 0.5 and wide.quantile(0.5) == 0.0
+    assert GaussianSource(0.0, 1e306).cdf(0.0) == 0.5
+
+
 def test_parse_source():
     assert parse_source("uniform:0,1") == UniformSource(0.0, 1.0)
     assert parse_source("gauss:0,1") == GaussianSource(0.0, 1.0)

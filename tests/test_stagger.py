@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -8,15 +9,17 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdplab import stagger
 from rdplab.metrics import entropy_bits, ks_threshold
 from rdplab.rng import SampleStreams
 from rdplab.sources import (DEGENERATE_MASS, CircleSource, GaussianSource,
                             UniformSource)
-from rdplab.stagger import (ACTIVE_EPS, MASS_TOL, MAX_CODE_INDEX,
-                            MAX_TABLE_CODES, InactiveCodeError, StaggeredSpec,
-                            _by_offset, build_boundaries, cell_left, decode,
+from rdplab.stagger import (ACTIVE_EPS, MAX_TABLE_CODES, BoundaryTable,
+                            InactiveCodeError, StaggeredSpec, _by_offset,
+                            build_boundaries, cell_left, decode,
                             dithered_reference, encode,
                             exact_code_distribution, simulate_pipeline)
+from reference_tables import exact_ks_gap, paper_table, reference_table
 
 UNIT = UniformSource(0.0, 1.0)
 GAUSS = GaussianSource(0.0, 1.0)
@@ -25,9 +28,8 @@ GAUSS = GaussianSource(0.0, 1.0)
 ALIGNED = 0.125
 
 
-def aligned_spec(n_offsets, delta=0.25, literal=False):
-    return StaggeredSpec(UNIT, delta, n_offsets, origin=delta / 2.0,
-                         literal_paper_indexing=literal)
+def aligned_spec(n_offsets, delta=0.25):
+    return StaggeredSpec(UNIT, delta, n_offsets, origin=delta / 2.0)
 
 
 def oracle_pipeline_mse(spec):
@@ -228,79 +230,34 @@ def test_partition_property():
         assert np.all(table.b >= table.a)
 
 
-def reference_boundaries(spec):
-    """The table built in separate passes: the CDF evaluated afresh on the
-    edges of each mass, each term of the N-term average and each of a and
-    b.  Returns the fields build_boundaries must reproduce bit for bit."""
-    source, n_off = spec.source, spec.n_offsets
-    lo, hi = source.effective_support()
-    t_lo = n_off * ((lo - spec.origin) / spec.delta - 0.5)
-    t_hi = n_off * ((hi - spec.origin) / spec.delta + 0.5)
-    if not (max(abs(t_lo), abs(t_hi)) < MAX_CODE_INDEX
-            and t_hi - t_lo < MAX_TABLE_CODES):
-        raise ValueError(f"delta {spec.delta:g}, origin {spec.origin:g} and "
-                         f"{n_off} offsets give codes {t_lo:.3g} .. "
-                         f"{t_hi:.3g}; a table takes at most "
-                         f"{MAX_TABLE_CODES} codes, within +/-2^53")
-    js = np.arange(int(math.ceil(t_lo)) - 1, int(math.floor(t_hi)) + 2)
-    prob = (source.cdf(cell_left(spec, js + n_off))
-            - source.cdf(cell_left(spec, js))) / n_off
-    active = np.nonzero(prob > ACTIVE_EPS)[0]
-    if active.size == 0:
-        raise ValueError("no active codes: source mass does not meet the grid")
-    codes = js[active[0]:active[-1] + 1]
-    prob = prob[active[0]:active[-1] + 1]
-    shift = 0 if spec.literal_paper_indexing else n_off
-    edge_js = np.arange(codes[0], codes[-1] + 2)
-    u = np.zeros(edge_js.size)
-    for k in range(1, n_off + 1):
-        u += source.cdf(cell_left(spec, edge_js - k + shift))
-    u /= n_off
-    bounds = np.empty(edge_js.size)
-    interior = (u > 0.0) & (u < 1.0)
-    bounds[u <= 0.0] = lo
-    bounds[u >= 1.0] = hi
-    if np.any(interior):
-        bounds[interior] = np.clip(source.quantile(u[interior]), lo, hi)
-    bounds[0], bounds[-1] = lo, hi
-    a, b = bounds[:-1], bounds[1:]
-    fa, fb = source.cdf(a), source.cdf(b)
-    if not spec.literal_paper_indexing:
-        err = float(np.max(np.abs((fb - fa) - prob)))
-        if err > MASS_TOL:
-            raise RuntimeError(
-                f"mass identity violated by {err:.3e} (indexing fault?)")
-    return dict(codes=codes, a=a, b=b, prob=prob, fa=fa, fb=fb,
-                cell_lo=np.clip(cell_left(spec, codes), lo, hi),
-                cell_hi=np.clip(cell_left(spec, codes + n_off), lo, hi))
-
-
 def assert_matches_reference(spec):
     try:
-        want = reference_boundaries(spec)
+        want = reference_table(spec)
     except (RuntimeError, ValueError) as exc:
         with pytest.raises(type(exc)) as got:
             build_boundaries(spec)
         assert str(got.value) == str(exc)
         return str(exc)
     table = build_boundaries(spec)
-    for name, value in want.items():
-        got = getattr(table, name)
-        assert got.dtype == value.dtype and got.shape == value.shape, name
-        assert got.tobytes() == value.tobytes(), (name, spec)
+    for field in dataclasses.fields(BoundaryTable)[1:]:
+        value, got = getattr(want, field.name), getattr(table, field.name)
+        assert got.dtype == value.dtype and got.shape == value.shape, field
+        assert got.tobytes() == value.tobytes(), (field.name, spec)
     return None
 
 
-@pytest.mark.parametrize("literal", [False, True], ids=["default", "literal"])
+# the ids name the index convention too: the default one, the only one
+# the library builds
 @pytest.mark.parametrize("source", [UNIT, GaussianSource(2.0, 3.0),
                                     CircleSource()],
-                         ids=["uniform", "gauss", "circle"])
-def test_one_pass_table_matches_separate_passes(source, literal):
+                         ids=["uniform-default", "gauss-default",
+                              "circle-default"])
+def test_one_pass_table_matches_separate_passes(source):
     for n_off in (1, 2, 3, 8):
         for delta in (0.07, 0.3, 1.0, 5.0):
             for origin in (0.0, 0.1, -0.37):
                 assert_matches_reference(StaggeredSpec(
-                    source, delta, n_off, origin, literal))
+                    source, delta, n_off, origin))
 
 
 def test_one_pass_table_keeps_its_faults():
@@ -315,8 +272,8 @@ def test_one_pass_table_keeps_its_faults():
 
 @st.composite
 def table_specs(draw):
-    """(law, delta, N, origin, indexing) with delta from 1e-3 to 10
-    support widths."""
+    """(law, delta, N, origin) with delta from 1e-3 to 10 support
+    widths."""
     law = draw(st.sampled_from(["uniform", "gauss", "circle"]))
     if law == "uniform":
         lo = draw(st.floats(-5.0, 5.0))
@@ -330,8 +287,7 @@ def table_specs(draw):
     delta = (hi - lo) * 10.0 ** draw(st.floats(-3.0, 1.0))
     origin = draw(st.one_of(st.just(0.0), st.just(lo + delta / 2.0),
                             st.floats(lo - delta, hi + delta)))
-    return StaggeredSpec(source, delta, draw(st.integers(1, 8)), origin,
-                         draw(st.booleans()))
+    return StaggeredSpec(source, delta, draw(st.integers(1, 8)), origin)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -341,7 +297,6 @@ def test_table_properties(spec):
         table = build_boundaries(spec)
     except RuntimeError as exc:
         # the fine-grid fault of the end codes' left-out tail mass
-        assert not spec.literal_paper_indexing
         assert str(exc).startswith("mass identity violated")
         return
     lo, hi = spec.source.effective_support()
@@ -349,30 +304,21 @@ def test_table_properties(spec):
     codes = table.codes
     assert np.array_equal(codes, np.arange(codes[0], codes[0] + codes.size))
     assert np.all(table.prob > ACTIVE_EPS)
-    # the intervals tile the support
+    # the intervals tile the support, each holding source mass
     assert table.a[0] == lo and table.b[-1] == hi
     assert np.array_equal(table.b[:-1], table.a[1:])
-    degenerate = table.fb - table.fa < DEGENERATE_MASS
-    if not spec.literal_paper_indexing:
-        assert not np.any(degenerate)
-    # encode then decode lands in the code's interval
+    assert np.all(table.fb - table.fa >= DEGENERATE_MASS)
+    # encode then decode lands in the code's interval, for every code drawn
     rng = SampleStreams(3).block(0)
     x = spec.source.sample(rng, 200)
     n = rng.integers(0, spec.n_offsets, 200)
     j = spec.n_offsets * encode(spec, x, n) + n
     k = j - table.j_first
-    ok = table.fb[k] - table.fa[k] >= DEGENERATE_MASS
-    assert spec.literal_paper_indexing or np.all(ok)
-    xhat = decode(table, j[ok], rng.random(j[ok].shape))
-    assert np.all((xhat >= table.a[k[ok]]) & (xhat <= table.b[k[ok]]))
-    # the exact route refuses a literal table exactly when an interval
-    # holds less than DEGENERATE_MASS, as the decoder does
-    if spec.literal_paper_indexing and spec.delta >= 1e-2 * (hi - lo):
-        if np.any(degenerate):
-            with pytest.raises(InactiveCodeError, match="degenerate"):
-                exact_code_distribution(spec)
-        else:
-            exact_code_distribution(spec)
+    xhat = decode(table, j, rng.random(j.shape))
+    assert np.all((xhat >= table.a[k]) & (xhat <= table.b[k]))
+    # the exact route accepts the table too
+    if spec.delta >= 1e-2 * (hi - lo):
+        exact_code_distribution(spec)
 
 
 def test_table_reads_the_cdf_twice(monkeypatch):
@@ -391,25 +337,48 @@ def test_table_reads_the_cdf_twice(monkeypatch):
     assert calls[1] == table.codes.size + 1
 
 
+# The paper prints a(j) at the quantile of the mean of F over the cell
+# edges j-N .. j-1; the tests build that table themselves (paper_table).
+# Per spec: the exact KS gap of its decoder's output law and its
+# mass-identity error.
+PAPER_FINDINGS = [(StaggeredSpec(GAUSS, 0.5, 2), 0.194438, 0.0290),
+                  (aligned_spec(2), 0.25, 0.25)]
+
+
 def test_literal_indexing_is_a_shift_and_breaks_mass_identity():
-    spec = aligned_spec(2)
-    default = build_boundaries(spec)
-    literal = build_boundaries(aligned_spec(2, literal=True))
-    # literal a(j) equals the default a(j - N) wherever both are interior
-    for k, j in enumerate(literal.codes):
-        if default.j_first <= j - 2 <= default.j_last:
-            expected = default.a[j - 2 - default.j_first]
-            assert literal.a[k] == pytest.approx(expected, abs=1e-12)
-    assert literal.mass_identity_error() > 0.01
+    for spec, _, mass_error in PAPER_FINDINGS:
+        default, paper = build_boundaries(spec), paper_table(spec)
+        # the paper's a(j) is the default a(j - N) wherever both are interior
+        shifted = 0
+        for k, j in enumerate(paper.codes):
+            back = j - spec.n_offsets - default.j_first
+            if 0 < k and 0 < back < default.codes.size:
+                assert paper.a[k] == default.a[back]
+                shifted += 1
+        assert shifted > 0
+        assert paper.mass_identity_error() == pytest.approx(mass_error,
+                                                            abs=1e-4)
+        assert default.mass_identity_error() < 1e-12
 
 
-def test_literal_indexing_breaks_perception():
-    spec = StaggeredSpec(GAUSS, 0.5, 2, literal_paper_indexing=True)
-    res = simulate_pipeline(spec, 100_000, SampleStreams(6))
-    assert res.perception_ks > 10 * ks_threshold(res.n_samples)
-    good = simulate_pipeline(StaggeredSpec(GAUSS, 0.5, 2), 100_000,
-                             SampleStreams(6))
+def test_literal_indexing_has_an_exact_ks_gap():
+    # the default table's decoder reproduces the source law to within the
+    # sub-threshold tail mass; the paper's misses it by a fixed gap
+    for spec, ks_gap, _ in PAPER_FINDINGS:
+        assert exact_ks_gap(paper_table(spec)) == pytest.approx(ks_gap,
+                                                                abs=1e-6)
+        assert exact_ks_gap(build_boundaries(spec)) < 2e-12
+
+
+def test_literal_indexing_breaks_perception(monkeypatch):
+    # the Monte Carlo route meets the exact gap of the paper's table
+    spec, ks_gap, _ = PAPER_FINDINGS[0]
+    good = simulate_pipeline(spec, 100_000, SampleStreams(6))
     assert good.perception_ks < ks_threshold(good.n_samples)
+    monkeypatch.setattr(stagger, "build_boundaries", paper_table)
+    res = simulate_pipeline(spec, 100_000, SampleStreams(6))
+    assert res.perception_ks == pytest.approx(0.194157, abs=1e-6)
+    assert abs(res.perception_ks - ks_gap) < ks_threshold(res.n_samples)
 
 
 def test_decode_stays_in_interval_and_rejects_inactive():
@@ -427,9 +396,10 @@ def test_decode_stays_in_interval_and_rejects_inactive():
 
 
 def test_literal_mode_edge_code_is_degenerate():
-    # the first code is active but its interval holds no source mass; the
-    # decoder refuses it rather than drawing from an empty truncation
-    table = build_boundaries(aligned_spec(2, literal=True))
+    # the first code of the paper's aligned table is active but its
+    # interval holds no source mass; the decoder refuses it rather than
+    # drawing from an empty truncation
+    table = paper_table(aligned_spec(2))
     assert table.prob[0] > ACTIVE_EPS
     assert table.fb[0] - table.fa[0] < DEGENERATE_MASS
     rng = SampleStreams(2).block(0)
@@ -437,15 +407,15 @@ def test_literal_mode_edge_code_is_degenerate():
         decode(table, np.array([table.j_first]), rng.random(1))
 
 
-def test_literal_mode_exact_rejects_an_empty_interval():
-    # the aligned literal table starts with codes whose intervals are
+def test_literal_mode_exact_rejects_an_empty_interval(paper_tables):
+    # the paper's aligned table starts with codes whose intervals are
     # empty; the exact route refuses the first one, as the decoder does,
     # rather than summing the distortion over the rest of the mass
-    table = build_boundaries(aligned_spec(2, literal=True))
+    table = paper_table(aligned_spec(2))
     assert table.b[0] == table.a[0] == 0.0
     with pytest.raises(InactiveCodeError,
                        match=f"code {table.j_first} has a degenerate"):
-        exact_code_distribution(aligned_spec(2, literal=True))
+        exact_code_distribution(aligned_spec(2))
 
 
 def test_decode_matches_code_array_draws():
@@ -705,13 +675,13 @@ def test_dithered_reference_rejects_an_overflowing_distortion():
 
 
 def test_grid_size_cap():
-    # the exact-sweep's finest table (about 1.6e5 candidate codes) builds;
-    # literal indexing skips the mass-identity check, which is not tested here
-    table = build_boundaries(StaggeredSpec(GAUSS, 1e-3, 8,
-                                           literal_paper_indexing=True))
-    assert table.codes.size > 90_000
+    # the exact-sweep's finest table (about 1.6e5 candidate codes) passes
+    # the cap: it is built, and only its mass identity (the fine-grid fault
+    # of ROADMAP item 2) refuses it
+    with pytest.raises(RuntimeError, match="mass identity violated"):
+        build_boundaries(StaggeredSpec(GAUSS, 1e-3, 8))
     for spec in (StaggeredSpec(UNIT, 1e-9, 1),
-                 StaggeredSpec(UniformSource(-1e308, 1e308), 1.0, 1),
+                 StaggeredSpec(UniformSource(-1e307, 1e307), 1.0, 1),
                  StaggeredSpec(UNIT, 0.25, 1, origin=1e300)):
         with pytest.raises(ValueError, match="a table takes at most"):
             build_boundaries(spec)
