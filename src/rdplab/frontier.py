@@ -117,13 +117,20 @@ def rdp_curve(lam_grid) -> list[FrontierPoint]:
             for lam, r, d in zip(lams, rates, dists)]
 
 
-def _rates_and_distortions(lams):
+def _rates_and_distortions(lams, ends=None):
     """Arrays of R (bits) and D along an increasing lam grid, checked for
-    the parametric monotonicity that ``rdp_curve`` promises."""
-    law = VonMisesLikeLaw(lams)
+    the parametric monotonicity that ``rdp_curve`` promises.  With
+    ``ends``, the (R, D) of the grid's first and last lam, only the points
+    between them are evaluated."""
+    inner = slice(None) if ends is None else slice(1, -1)
+    law = VonMisesLikeLaw(lams[inner])
     # rate can round to a hair below zero in the lam -> 0 limit
     rates = np.maximum(law.divergence_nats() / math.log(2.0), 0.0)
     dists = 2.0 - 2.0 * law.mean_cos()
+    if ends is not None:
+        (r0, d0), (r1, d1) = ends
+        rates = np.concatenate(([r0], rates, [r1]))
+        dists = np.concatenate(([d0], dists, [d1]))
     bad = np.flatnonzero(~((rates[1:] > rates[:-1])
                            & (dists[1:] < dists[:-1])))
     if bad.size:
@@ -141,26 +148,29 @@ def rate_at_distortion(distortion: float) -> float:
     geometric lam points spanning the bracket of the answer (without
     building frontier points), and keeps the grid interval
     where D crosses the target, BRACKET_POINTS - 1 times narrower in
-    log(lam).  Once the bracket is under BRACKET_WIDTH in log(lam), a cubic
-    through four grid points interpolates the rate at the target D.  Valid
-    for distortions reachable with lam in (0, 1e4]; at or above D(1e-8)
-    the answer is R(1e-8).
+    log(lam).  The next round's grid keeps those two points exactly, with
+    their R and D, and evaluates only the points between them.  Once the
+    bracket is under BRACKET_WIDTH in log(lam), a cubic through four grid
+    points interpolates the rate at the target D.  Valid for distortions
+    reachable with lam in (0, 1e4]; at or above D(1e-8) the answer is
+    R(1e-8).
     """
     if not 0.0 < distortion < 2.0:
         raise ValueError(f"distortion must lie in (0, 2), got {distortion}")
-    lo, hi = 1e-8, LAMBDA_MAX
+    grid, ends = np.geomspace(1e-8, LAMBDA_MAX, BRACKET_POINTS), None
     while True:
-        grid = np.geomspace(lo, hi, BRACKET_POINTS)
-        rates, d = _rates_and_distortions(grid)
+        rates, d = _rates_and_distortions(grid, ends)
         above = int(np.count_nonzero(d > distortion))   # D falls along lam
         if above == BRACKET_POINTS:
             raise ValueError(f"distortion {distortion} below the lam <= 1e4 "
                              f"range")
         if above == 0:
             return float(rates[0])
-        if math.log(hi / lo) < BRACKET_WIDTH:
+        if math.log(grid[-1] / grid[0]) < BRACKET_WIDTH:
             break
-        lo, hi = grid[above - 1], grid[above]
+        ends = [(rates[k], d[k]) for k in (above - 1, above)]
+        # geomspace returns its end points exactly
+        grid = np.geomspace(grid[above - 1], grid[above], BRACKET_POINTS)
     # Lagrange cubic in D through the four grid points around the target
     first = min(max(above - 2, 0), BRACKET_POINTS - 4)
     d = d[first:first + 4]

@@ -5,9 +5,11 @@ Every simulator in this package consumes randomness through a
 blocks of ``BLOCK`` draws; block ``k`` always uses the counter-based
 (Philox) substream ``Philox(SeedSequence(seed, spawn_key=(k,)))``.  The
 Monte Carlo engine (``metrics.simulate_chunks``) draws block by block
-straight into chunk arrays it allocates once per run, and
-``tests/test_block_loop.py`` checks that every chunk length gives
-bit-identical results, each block keyed once.  Seeds are
+straight into chunk arrays it allocates once per block range, and
+``tests/test_block_loop.py`` checks that every chunk length and worker
+count gives bit-identical results, each block keyed once.  A range of
+blocks needs nothing from the blocks before it, so the engine splits a
+long run into ranges drawn by separate processes.  Seeds are
 non-negative integers of any size; a negative seed is refused when the
 streams are made.
 
@@ -19,9 +21,10 @@ is the pool of ``SeedSequence(seed)``, the same for every block, with the
 in.  :meth:`SampleStreams.keys` builds that pool once and then mixes and
 hashes the keys of a whole range of blocks in uint32 numpy arithmetic,
 with the multipliers of numpy's SeedSequence: 0.2 ms per 1024 keys, and
-one SeedSequence per range rather than one per block.  A run takes its
-keys in ranges of KEY_BLOCKS blocks and builds one generator, for its
-first block, as ``Philox(key=key)``.  :meth:`SampleStreams.iter_blocks`
+one SeedSequence per range rather than one per block.  A run, or each
+block range of a split run, takes its keys in ranges of KEY_BLOCKS
+blocks and builds one generator, for its first block, as
+``Philox(key=key)``.  :meth:`SampleStreams.iter_blocks`
 re-keys that generator to each further block through
 :meth:`SampleStreams.block`, which sets numpy's public
 ``bit_generator.state`` to exactly a freshly built block generator's: the
@@ -253,15 +256,24 @@ class SampleStreams:
         into.bit_generator.state = _fresh_state(key)
         return into
 
-    def iter_blocks(self, n_samples: int):
-        """Yield ``(block_index, block_size, generator)`` covering
-        n_samples.  One generator serves the whole run, re-keyed to each
-        block, so a yielded generator is valid until the next iteration."""
+    def iter_blocks(self, n_samples: int, start: int = 0,
+                    stop: int | None = None):
+        """Yield ``(block_index, block_size, generator)`` for blocks
+        start .. stop-1 (all of them by default) of a run of n_samples.
+        One generator serves the range, re-keyed to each block, so a
+        yielded generator is valid until the next iteration.  Every block
+        has its own key, so ranges of one run, drawn in any order or in
+        separate processes, draw what the whole run draws."""
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        rng, blocks = None, -(-n_samples // BLOCK)
-        for start in range(0, blocks, KEY_BLOCKS):
-            keys = self.keys(start, min(start + KEY_BLOCKS, blocks))
-            for k, key in enumerate(keys.tolist(), start):
+        blocks = -(-n_samples // BLOCK)
+        stop = blocks if stop is None else stop
+        if not 0 <= start < stop <= blocks:
+            raise ValueError(f"blocks {start} .. {stop - 1} are not a range "
+                             f"of the run's {blocks}")
+        rng = None
+        for first in range(start, stop, KEY_BLOCKS):
+            keys = self.keys(first, min(first + KEY_BLOCKS, stop))
+            for k, key in enumerate(keys.tolist(), first):
                 rng = self.block(k, key, rng)
                 yield k, min(BLOCK, n_samples - k * BLOCK), rng

@@ -3,8 +3,11 @@
 Determinism contract: a given (scheme, params, samples, seed) always
 produces bit-identical statistics.  Randomness is consumed in fixed
 1024-sample blocks with one counter-based substream per block (see
-``rng``), and one thread runs the blocks in order, merging distortion
-moments block by block.  Seeds are non-negative integers of any size.
+``rng``).  A long run splits its blocks into contiguous ranges, run by
+forked processes (``metrics.simulate_chunks``), but distortion moments
+are merged block by block in block order and bin counts are integers,
+so the statistics do not depend on the number of processes.  Seeds are
+non-negative integers of any size.
 
 Every output row, Monte Carlo or exact, is built by :func:`row`.
 """

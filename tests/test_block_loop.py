@@ -14,6 +14,8 @@ the two circle references pin that step from both sides.
 
 import dataclasses
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,7 +26,7 @@ from rdplab.circle import (simulate_dithered_circle, simulate_staggered_circle,
                            wrap_angle)
 from rdplab.metrics import (ExperimentResult, RunningMoments, ks_statistic,
                             plugin_entropy)
-from rdplab.rng import BLOCK, SampleStreams
+from rdplab.rng import BLOCK, DOUBLES, SampleStreams
 from rdplab.sources import (DEGENERATE_MASS, CircleSource, GaussianSource,
                             UniformSource)
 from rdplab.stagger import (ACTIVE_EPS, InactiveCodeError, StaggeredSpec,
@@ -273,18 +275,208 @@ def test_chunk_length_keeps_undrawn_offsets(monkeypatch, name):
         assert dataclasses.asdict(simulate(samples)) == want
 
 
-@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+# A run of at least PARALLEL_MIN_BLOCKS blocks splits over the workers;
+# this one has a short last chunk that ends in a short block
+SPLIT_SAMPLES = (metrics.PARALLEL_MIN_BLOCKS + 4) * BLOCK + 517
+WORKER_COUNTS = (1, 2, 3)
+
+
+def _count_forks(monkeypatch):
+    """The pids of the children forked from now on, in this process."""
+    forked, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS + (SPLIT_SAMPLES,))
 def test_chunk_length_changes_no_decoder_error(monkeypatch, paper_tables,
                                                samples):
     # the decoder names the first faulty sample in sample order, which no
-    # chunk length moves
+    # chunk length or worker count moves
     messages = []
     for chunk_blocks in _chunk_lengths():
         monkeypatch.setattr(metrics, "CHUNK_BLOCKS", chunk_blocks)
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(metrics, "WORKERS", workers)
+            with pytest.raises(InactiveCodeError) as got:
+                simulate_pipeline(ALIGNED_N2, samples, SampleStreams(0))
+            messages.append(str(got.value))
+    assert messages == [messages[0]] * len(messages)
+
+
+# the three simulators, and the pipeline with an offset count that calls
+# ``integers`` per block, as the Gaussian one calls ``standard_normal``
+SPLIT_SIMULATORS = dict(SIMULATORS, **{
+    "pipeline-n3": lambda n: simulate_pipeline(PIPELINE_SPECS[2], n,
+                                               SampleStreams(31))})
+
+
+@pytest.mark.parametrize("name", SPLIT_SIMULATORS)
+def test_worker_count_changes_no_result(monkeypatch, name):
+    forked = _count_forks(monkeypatch)
+    results = []
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(metrics, "WORKERS", workers)
+        forked.clear()
+        results.append(dataclasses.asdict(
+            SPLIT_SIMULATORS[name](SPLIT_SAMPLES)))
+        assert len(forked) == workers - 1
+    assert results == [results[0]] * 3
+    _assert_no_child_left()
+
+
+def _fork_fails():
+    raise BlockingIOError("Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("no_child", ["without-fork", "fork-fails",
+                                      "beside-a-thread"])
+def test_a_run_without_children_runs_every_range_here(monkeypatch, no_child):
+    spec = PIPELINE_SPECS[3]
+    monkeypatch.setattr(metrics, "WORKERS", 1)
+    want = dataclasses.asdict(simulate_pipeline(spec, SPLIT_SAMPLES,
+                                                SampleStreams(7)))
+    monkeypatch.setattr(metrics, "WORKERS", 3)
+    forked, done = [], threading.Event()
+    thread = threading.Thread(target=done.wait)
+    if no_child == "without-fork":
+        monkeypatch.delattr(os, "fork")
+    elif no_child == "fork-fails":
+        monkeypatch.setattr(os, "fork", _fork_fails)
+    else:
+        forked = _count_forks(monkeypatch)
+        thread.start()
+    try:
+        got = simulate_pipeline(spec, SPLIT_SAMPLES, SampleStreams(7))
+    finally:
+        done.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert dataclasses.asdict(got) == want
+    assert forked == []
+    _assert_no_child_left()
+
+
+# The aligned uniform spec on a grid so fine that the two faulty codes of
+# its paper table hold 7.5e-6 of the mass: seed 8 draws neither of them
+# in its first 256 blocks, range 0 of the split run at 2 workers.
+RARE_FAULT = StaggeredSpec(UniformSource(0.0, 1.0), 1e-5, 2)
+RARE_SEED = 8
+
+
+def test_only_a_later_range_faults(monkeypatch, paper_tables):
+    # the first fault lies past range 0 at 2 workers, which holds range 0
+    # at 3, and each worker count names it
+    chunks = -(-math.ceil(SPLIT_SAMPLES / BLOCK) // metrics.CHUNK_BLOCKS)
+    clean = chunks // 2 * metrics.CHUNK_BLOCKS * BLOCK
+    simulate_pipeline(RARE_FAULT, clean, SampleStreams(RARE_SEED))
+    messages = []
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(metrics, "WORKERS", workers)
         with pytest.raises(InactiveCodeError) as got:
-            simulate_pipeline(ALIGNED_N2, samples, SampleStreams(0))
+            simulate_pipeline(RARE_FAULT, SPLIT_SAMPLES,
+                              SampleStreams(RARE_SEED))
         messages.append(str(got.value))
-    assert messages[0] == messages[1] == messages[2]
+    assert messages == [messages[0]] * 3
+
+
+class _TaggedStreams(SampleStreams):
+    """Streams that record each block they yield in ``yielded``."""
+
+    yielded: list = []
+
+    def iter_blocks(self, n_samples, start=0, stop=None):
+        for k, size, rng in super().iter_blocks(n_samples, start, stop):
+            self.yielded.append(k)
+            yield k, size, rng
+
+
+def _faulting_step(faulty, exc_type):
+    """A step over one uniform that raises ``exc_type`` naming the first
+    block of ``faulty`` in its chunk."""
+    def step(u, out):
+        blocks = _TaggedStreams.yielded[-math.ceil(u.size / BLOCK):]
+        hit = sorted(faulty.intersection(blocks))
+        if hit:
+            raise exc_type(f"block {hit[0]}")
+        out[0][...] = u
+        out[1][...] = 0
+        out[2][...] = u
+    return step
+
+
+def _run_tagged(step):
+    _TaggedStreams.yielded.clear()
+    return metrics.simulate_chunks(_TaggedStreams(3), SPLIT_SAMPLES,
+                                   (DOUBLES,), step, 1)
+
+
+def test_the_first_faulty_range_names_the_fault(monkeypatch):
+    # blocks 200 and 400 lie in ranges 1 and 2 at 3 workers, so range 0
+    # runs clean, and in ranges 0 and 1 at 2 workers; the one-range run
+    # names block 200
+    step = _faulting_step({400, 200}, ValueError)
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(metrics, "WORKERS", workers)
+        with pytest.raises(ValueError, match="^block 200$"):
+            _run_tagged(step)
+    _assert_no_child_left()
+
+
+class _Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class _NeedsTwo(Exception):
+    """Pickles, but cannot be rebuilt from its one argument."""
+
+    def __init__(self, message, extra):
+        super().__init__(message)
+
+
+@pytest.mark.parametrize("exc_type", [
+    _Unpicklable, lambda message: _NeedsTwo(message, 0)],
+    ids=["unpicklable", "unrebuildable"])
+def test_a_child_error_that_cannot_be_pickled_is_named(monkeypatch,
+                                                       exc_type):
+    monkeypatch.setattr(metrics, "WORKERS", 2)
+    step = _faulting_step({400}, exc_type)
+    with pytest.raises(RuntimeError, match=r"_(Unpicklable|NeedsTwo)\("
+                                           r"'block 400'.*cannot be pickled"):
+        _run_tagged(step)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", ["returns", "parent-range-raises",
+                                  "child-range-raises"])
+def test_no_child_outlives_a_call(monkeypatch, request, case):
+    monkeypatch.setattr(metrics, "WORKERS", 2)
+    forked = _count_forks(monkeypatch)
+    if case == "returns":
+        simulate_pipeline(PIPELINE_SPECS[3], SPLIT_SAMPLES, SampleStreams(1))
+    else:
+        request.getfixturevalue("paper_tables")
+        spec, seed = ((ALIGNED_N2, 0) if case == "parent-range-raises"
+                      else (RARE_FAULT, RARE_SEED))
+        with pytest.raises(InactiveCodeError):
+            simulate_pipeline(spec, SPLIT_SAMPLES, SampleStreams(seed))
+    assert len(forked) == 1
+    _assert_no_child_left()
 
 
 def test_runs_share_no_scratch():
@@ -337,7 +529,14 @@ def _engine_excess(monkeypatch, samples):
 
 
 def test_engine_scratch_is_per_chunk_not_per_run(monkeypatch):
-    # input, word, error, bin and work arrays of one chunk: 2.8 MiB
+    # input, word, error, bin and work arrays of one chunk: 2.8 MiB, in
+    # one range, since tracemalloc sees neither a child's arrays nor the
+    # shared buffer of a split run
+    monkeypatch.setattr(metrics, "WORKERS", 1)
     excess = _engine_excess(monkeypatch, 2 ** 20)
     assert 0 < excess <= 4 * 2 ** 20
     assert abs(_engine_excess(monkeypatch, 2 ** 21) - excess) <= 2 ** 16
+    # split over two processes, the parent holds one range's chunk arrays
+    # and no reconstructions
+    monkeypatch.setattr(metrics, "WORKERS", 2)
+    assert _engine_excess(monkeypatch, 2 ** 20) <= excess

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdplab import circle
+from rdplab import circle, metrics
 from rdplab.circle import (MAX_FRONTIER_LEVELS, FrontierPoint,
                            one_shot_frontier, simulate_dithered_circle,
                            simulate_staggered_circle, staggered_circle_rd,
@@ -183,7 +183,9 @@ def test_circle_at_the_levels_cap_counts_without_a_chunk_long_bincount(
     # 2^20 cells and 2^20 samples: a bincount per chunk would add a fresh
     # 8 MiB array to the run's 8 MiB reconstructions and 8 MiB counts, and
     # an entropy with a float temporary per step would hold five 8 MiB
-    # arrays besides them (42.1 MiB for the whole run)
+    # arrays besides them (42.1 MiB for the whole run); one range, since
+    # tracemalloc sees neither a child's arrays nor the shared buffer
+    monkeypatch.setattr(metrics, "WORKERS", 1)
     peaks, before = [], []
     engine = circle.simulate_chunks
 

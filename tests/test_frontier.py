@@ -87,19 +87,20 @@ def test_rate_at_distortion_matches_bessel_bisection(distortion):
 
 def test_rate_at_distortion_takes_a_few_curve_calls(monkeypatch):
     # each bracket round evaluates R and D on one grid, without building
-    # frontier points
+    # frontier points; a round after the first keeps its bracket ends'
+    # R and D and evaluates only the points between them
     from rdplab import frontier
     calls = []
-    curve = frontier._rates_and_distortions
+    law = frontier.VonMisesLikeLaw
 
-    def counted(grid):
-        calls.append(len(grid))
-        return curve(grid)
+    def counted(lam):
+        calls.append(np.size(lam))
+        return law(lam)
 
-    monkeypatch.setattr(frontier, "_rates_and_distortions", counted)
+    monkeypatch.setattr(frontier, "VonMisesLikeLaw", counted)
     monkeypatch.setattr(frontier, "rdp_curve", None)
     rate_at_distortion(0.2)
-    assert calls == [frontier.BRACKET_POINTS] * 5
+    assert calls == [frontier.BRACKET_POINTS] + [frontier.BRACKET_POINTS - 2] * 4
 
 
 def rate_by_curve_points(distortion):

@@ -55,6 +55,18 @@ def test_block_generators_match_numpy(seed):
     assert seen == list(range(2048))
     for k in WIDE_BLOCKS:
         assert_same_generator(streams.block(k), numpy_block(seed, k))
+    # a block range, across a KEY_BLOCKS boundary to the short last block
+    seen = []
+    for k, size, rng in streams.iter_blocks(1030 * BLOCK - 5, 1000):
+        seen.append((k, size))
+        assert_same_generator(rng, numpy_block(seed, k))
+    assert seen == [(k, BLOCK) for k in range(1000, 1029)] + [(1029, 1019)]
+
+
+@pytest.mark.parametrize("start, stop", [(5, 5), (-1, 3), (0, 11), (11, 12)])
+def test_block_range_must_lie_in_the_run(start, stop):
+    with pytest.raises(ValueError, match="not a range of the run's 10$"):
+        list(SampleStreams(0).iter_blocks(10 * BLOCK, start, stop))
 
 
 @pytest.mark.parametrize("as_list", [True, False], ids=["tolist", "array"])
