@@ -123,8 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="run the sweep described by a config file")
     sp.add_argument("--config", required=True)
     sp.add_argument("--axis", default=None,
-                    help="parameter to sweep (levels, offsets, delta, lambda, "
-                         "samples, seed); omit for a single run")
+                    help="a parameter the config's scheme reads (levels, "
+                         "offsets, delta, lambda, samples, seed); omit for a "
+                         "single run")
     sp.add_argument("--values", default=None,
                     help="comma-separated sweep values")
     _add_output_flags(sp)

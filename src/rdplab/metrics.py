@@ -8,11 +8,14 @@ from its own substream (see ``rng``) into its row of a word matrix.  Once
 per chunk of CHUNK_BLOCKS blocks the matrix's columns become uniforms and
 offsets, and the simulator's one step runs on them: its affine maps, its
 arithmetic and its guards, in place in arrays the engine allocates once
-per block range; then the moment updates and the bin counts.  A run of
+per block range; then each block's moments and the bin counts.  A run of
 at least PARALLEL_MIN_BLOCKS blocks is split into WORKERS block ranges,
-each after the first run in a child forked for the call.  Moments are
-still merged block by block in block order, so no chunk length or worker
-count changes a result.
+each after the first run in a child forked for the call.  Every range
+writes its reconstructions, its count row and its blocks' moments into
+the run's arrays, shared with the children when there are any, and the
+caller combines the block moments in block order, so no chunk length or
+worker count changes a result.  A child's pipe carries only the error
+its range raised.
 """
 
 from __future__ import annotations
@@ -95,16 +98,15 @@ def ks_threshold(n_samples: int) -> float:
 
 
 class RunningMoments:
-    """One-pass (Welford) mean/variance accumulator with associative merge.
+    """One-pass (Welford) mean/variance accumulator.
 
-    The engine merges block moments in block order.  A run split over
-    processes does too: each range after the first logs its blocks'
-    (n, mean, m2), and the caller combines them after range 0's, one
-    block at a time, since joining per-range accumulators with ``merge``
-    would round differently; so ``merge`` has no caller in the library.
-    (Threads would not pay: splitting a run over two measured 0.8-1.13x
-    on 2^20 Gaussian samples, 2-core box, since 1024-sample draws hand
-    the interpreter lock back and forth.)
+    The engine keeps no accumulator while it runs: each block range writes
+    its blocks' means and m2 into two run-long arrays indexed by block, and
+    the caller combines them in block order, so every worker count folds
+    the same sequence.  ``update`` folds one batch, as the per-block
+    references in the tests do.  (Threads would not pay: splitting a run
+    over two measured 0.8-1.13x on 2^20 Gaussian samples, 2-core box,
+    since 1024-sample draws hand the interpreter lock back and forth.)
     """
 
     __slots__ = ("n", "mean", "m2")
@@ -114,31 +116,13 @@ class RunningMoments:
         self.mean = 0.0
         self.m2 = 0.0
 
-    def update(self, values, batch: int | None = None, *,
-               overwrite_values: bool = False) -> None:
-        """Merge ``values`` in order as consecutive batches of ``batch``
-        values (the last one may be shorter; one batch by default), with
-        the bits of one ``update`` per batch.  With ``overwrite_values`` a
-        contiguous float array takes the squared deviations in place of a
-        fresh array, so the caller must not read it again."""
+    def update(self, values) -> None:
+        """Merge the mean and m2 of ``values`` as one batch."""
         values = np.asarray(values, dtype=float).ravel()
-        if values.size == 0:
-            return
-        batch = batch or values.size
-        full = values.size - values.size % batch
-        for rows in (values[:full].reshape(-1, batch),
-                     values[full:].reshape(1, -1)):
-            if rows.size == 0:
-                continue
-            mu = rows.mean(axis=1)
-            dev = np.subtract(rows, mu[:, None],
-                              out=rows if overwrite_values else None)
-            m2 = np.square(dev, out=dev).sum(axis=1)
-            for m, s in zip(mu.tolist(), m2.tolist()):
-                self._combine(rows.shape[1], m, s)
-
-    def merge(self, other: "RunningMoments") -> None:
-        self._combine(other.n, other.mean, other.m2)
+        if values.size:
+            mean = values.mean()
+            self._combine(values.size, float(mean),
+                          float(np.square(values - mean).sum()))
 
     def _combine(self, n_b, mean_b, m2_b):
         if n_b == 0:
@@ -174,14 +158,21 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
     machine with one core or without ``os.fork``, or from a process that
     runs other threads, is one range run in the calling process.
 
-    In each range every array is allocated once, for a chunk of at most
-    CHUNK_BLOCKS whole blocks: one zeroed input array per draw in
+    Every range, wherever it runs, writes into the run's arrays (see
+    :func:`_run_array`): its samples' reconstructions, its row of a
+    (ranges x n_bins) count array, and each of its blocks' mean and m2 of
+    the squared errors into two arrays indexed by block.  Once every range
+    has run, the block moments are combined in block order and the count
+    rows added into row 0, so no chunk length or worker count changes a
+    result.
+
+    In each range every other array is allocated once, for a chunk of at
+    most CHUNK_BLOCKS whole blocks: one zeroed input array per draw in
     ``draws`` (``rng.DOUBLES``, ``rng.NORMALS`` or ``rng.Offsets``, in draw
     order), a uint64 word matrix with a row per block, the squared errors
-    (float), the bins (int64) and ``work`` float scratch arrays; the
-    reconstructions of all samples are one array per run.  A draw without
-    a generator call owns ``words(BLOCK)`` adjacent columns of the matrix,
-    in draw order.  Each block, from its own substream, makes the
+    (float), the bins (int64) and ``work`` float scratch arrays.  A draw
+    without a generator call owns ``words(BLOCK)`` adjacent columns of the
+    matrix, in draw order.  Each block, from its own substream, makes the
     generator calls of its draws straight into its slices of the input
     arrays and takes the words of each run of columns between them in one
     ``random_raw`` call into its row; a short last block takes each draw's
@@ -198,9 +189,8 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
     its range, and the run raises the error of the first range that
     raised, so a faulty sample must be named in sample order for every
     chunk length and worker count to name the same one.  Bins are counted
-    with ``np.add.at``.  Returns the distortion moments (merged block by
-    block in block order, whatever the ranges), the bin counts and the
-    reconstructions of all samples in sample order.
+    with ``np.add.at``.  Returns the distortion moments, the bin counts and
+    the reconstructions of all samples in sample order.
     """
     blocks = -(-samples // BLOCK)
     chunks = -(-blocks // CHUNK_BLOCKS)
@@ -209,52 +199,42 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
     if (blocks >= PARALLEL_MIN_BLOCKS and hasattr(os, "fork")
             and threading.active_count() == 1):
         parts = min(WORKERS, chunks)
-    if parts == 1:
-        recon, shared = np.empty(samples), []
-    else:   # shared with the children, which write their samples and counts
-        buf = mmap.mmap(-1, 8 * (samples + (parts - 1) * n_bins))
-        recon = np.frombuffer(buf, float, samples)
-        shared = [np.frombuffer(buf, np.int64, n_bins,
-                                8 * (samples + i * n_bins))
-                  for i in range(parts - 1)]
-    counts = [np.zeros(n_bins, dtype=np.int64), *shared]
+    # separate allocations, so that a caller may free the counts and keep
+    # the reconstructions
+    recon = _run_array(parts, float, samples)
+    counts = _run_array(parts, np.int64, parts, n_bins)
+    means, m2s = _run_array(parts, float, 2, blocks)
     edges = [min(i * chunks // parts * CHUNK_BLOCKS, blocks)
              for i in range(parts + 1)]
-    # range 0 combines its blocks' moments as it goes; the others log
-    # theirs, and their logs are replayed after it in range order
-    dist, *logs = _run_forked([
+    _run_forked([
         functools.partial(_run_range, streams, samples, draws, step, work,
-                          edges[i], edges[i + 1], recon, counts[i],
-                          _MomentLog() if i else RunningMoments())
+                          edges[i], edges[i + 1], recon, counts[i], means,
+                          m2s)
         for i in range(parts)])
-    for log in logs:
-        for block in log.blocks:
-            dist._combine(*block)
-    for more in counts[1:]:
-        counts[0] += more
+    dist = RunningMoments()
+    for k, (mean, m2) in enumerate(zip(means.tolist(), m2s.tolist())):
+        dist._combine(min(BLOCK, samples - k * BLOCK), mean, m2)
+    for row in counts[1:]:
+        counts[0] += row
     return dist, counts[0], recon
 
 
-class _MomentLog(RunningMoments):
-    """The moments of a block range, logged: ``update`` appends each
-    batch's (n, mean, m2) to ``blocks`` in place of combining it."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self):
-        super().__init__()
-        self.blocks = []
-
-    def _combine(self, n_b, mean_b, m2_b):
-        self.blocks.append((n_b, mean_b, m2_b))
+def _run_array(parts: int, dtype, *shape):
+    """A zeroed array of a run: on the heap for a one-range run, in an
+    anonymous shared ``mmap`` that forked ranges write into otherwise."""
+    if parts == 1:
+        return np.zeros(shape, dtype)
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
 
 
 def _run_range(streams, samples, draws, step, work, start, stop, recon,
-               counts, moments):
+               counts, means, m2s):
     """The chunks of blocks start .. stop-1 (start on a CHUNK_BLOCKS
     boundary) as ``simulate_chunks`` describes them: the reconstructions
     go into their samples of ``recon``, the bins are added to ``counts``
-    and the blocks' moments to ``moments``, which is returned."""
+    and each block's mean and m2 go into its entries of ``means`` and
+    ``m2s``."""
     blocks = min(CHUNK_BLOCKS, stop - start)
     rows = blocks * BLOCK
     inputs = [np.zeros(rows, draw.dtype) for draw in draws]
@@ -296,25 +276,41 @@ def _run_range(streams, samples, draws, step, work, start, stop, recon,
         out = [err2[:filled], bins[:filled], recon[drawn - filled:drawn],
                *(buf[:filled] for buf in scratch)]
         step(*(buf[:filled] for buf in inputs), out=out)
-        moments.update(out[0], BLOCK, overwrite_values=True)
+        _block_moments(out[0], means[k - row:k + 1], m2s[k - row:k + 1])
         np.add.at(counts, out[1], 1)
-    return moments
 
 
-def _run_forked(ranges):
-    """``[run() for run in ranges]``, the first range run in this process
-    and each other one in a child forked for it.
+def _block_moments(values, means, m2s) -> None:
+    """Write the mean and m2 of each block of BLOCK values in ``values``
+    (the last block may be shorter) into ``means`` and ``m2s``, with the
+    bits of one ``RunningMoments.update`` per block; ``values`` becomes
+    scratch."""
+    full = values.size // BLOCK
+    for rows, at in ((values[:full * BLOCK].reshape(-1, BLOCK), np.s_[:full]),
+                     (values[full * BLOCK:].reshape(1, -1), np.s_[full:])):
+        if rows.size:
+            rows.mean(axis=1, out=means[at])
+            np.subtract(rows, means[at, None], out=rows)
+            np.square(rows, out=rows).sum(axis=1, out=m2s[at])
+
+
+def _run_forked(ranges) -> None:
+    """Run every range of ``ranges``, the first in this process and each
+    other one in a child forked for it.
 
     A child inherits its range's closure, so nothing is pickled on the way
-    in; it pickles its result, or the exception its range raised, into a
-    pipe and leaves by ``os._exit``.  A range that gets no child (the pipe
-    or the fork failed) runs here, after the first.  This process reaps
-    every child before it returns or raises, killing those it has not read
-    when it raises itself, and then raises the error of the first range
-    that raised; an exception that cannot be pickled comes back as a
-    RuntimeError that names it.
+    in, and its range writes its results into the run's shared arrays.  A
+    child whose range returns writes nothing to its pipe; one whose range
+    raised pickles the exception into it.  Either way it leaves by
+    ``os._exit``.  A range that gets no child (the pipe or the fork failed)
+    runs here, after the first.  This process reaps every child before it
+    returns or raises, killing those it has not read when it raises
+    itself, and then raises the error of the first range that raised; an
+    exception that cannot be pickled comes back as a RuntimeError that
+    names it, and a child that dies before it reports as a RuntimeError
+    that names its wait status.
     """
-    results, children = [None] * len(ranges), {}   # range -> (pid, pipe)
+    errors, children = [None] * len(ranges), {}    # range -> (pid, pipe)
     try:
         for i, run in enumerate(ranges[1:], 1):
             try:
@@ -334,53 +330,51 @@ def _run_forked(ranges):
             children[i] = pid, read
         for i, run in enumerate(ranges):
             if i not in children:
-                results[i] = _outcome(run)
+                errors[i] = _error(run)
         for i, (_, read) in children.items():
             with open(read, "rb", closefd=False) as pipe:
-                results[i] = pipe.read()
+                errors[i] = pipe.read()     # empty if the range returned
     finally:
         for i, (pid, read) in children.items():
-            if results[i] is None:      # this process raised
+            if errors[i] is None:       # this process raised
                 os.kill(pid, signal.SIGKILL)
             os.close(read)
             status = os.waitpid(pid, 0)[1]
             if status:
-                results[i] = ("lost", f"the worker of range {i} ended "
-                                      f"with wait status {status}")
-    for i, result in enumerate(results):
-        kind, value = (pickle.loads(result) if isinstance(result, bytes)
-                       else result)
-        if kind == "raised":
-            raise value
-        if kind != "ok":
-            raise RuntimeError(value)
-        results[i] = value
-    return results
+                errors[i] = RuntimeError(f"the worker of range {i} ended "
+                                         f"with wait status {status}")
+    for error in errors:
+        if isinstance(error, bytes):
+            error = pickle.loads(error) if error else None
+        if error is not None:
+            raise error
 
 
-def _outcome(run):
-    """("ok", run()), or ("raised", the exception it raised)."""
+def _error(run):
+    """The exception ``run()`` raised, or None once it returns."""
     try:
-        return "ok", run()
+        run()
     except Exception as exc:
-        return "raised", exc
+        return exc
+    return None
 
 
 def _child(run, write: int) -> None:
-    """Run one forked range and pickle its outcome into the pipe end
-    ``write``; leaves by ``os._exit``, 0 once the outcome is written."""
+    """Run one forked range; if it raised, pickle its exception into the
+    pipe end ``write``.  Leaves by ``os._exit``, 0 once that is done."""
     code = 1
     try:
-        kind, value = _outcome(run)
-        try:
-            data = pickle.dumps((kind, value))
-            if kind == "raised":
+        error = _error(run)
+        if error is not None:
+            try:
+                data = pickle.dumps(error)
                 pickle.loads(data)
-        except Exception:
-            data = pickle.dumps(("unpicklable", f"a worker's range raised "
-                                 f"{value!r}, which cannot be pickled"))
-        with open(write, "wb") as pipe:
-            pipe.write(data)
+            except Exception:
+                data = pickle.dumps(RuntimeError(
+                    f"a worker's range raised {error!r}, which cannot be "
+                    f"pickled"))
+            with open(write, "wb") as pipe:
+                pipe.write(data)
         code = 0
     finally:
         os._exit(code)

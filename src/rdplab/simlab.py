@@ -4,10 +4,12 @@ Determinism contract: a given (scheme, params, samples, seed) always
 produces bit-identical statistics.  Randomness is consumed in fixed
 1024-sample blocks with one counter-based substream per block (see
 ``rng``).  A long run splits its blocks into contiguous ranges, run by
-forked processes (``metrics.simulate_chunks``), but distortion moments
-are merged block by block in block order and bin counts are integers,
-so the statistics do not depend on the number of processes.  Seeds are
-non-negative integers of any size.
+forked processes (``metrics.simulate_chunks``).  Every range writes its
+blocks' distortion moments into run-long arrays indexed by block and
+its integer bin counts into its own row, and the caller combines the
+moments in block order and adds the rows, so the statistics do not
+depend on the number of processes.  Seeds are non-negative integers of
+any size.
 
 Every output row, Monte Carlo or exact, is built by :func:`row`.
 """
@@ -43,17 +45,25 @@ def parse_seed(text) -> int:
     return value
 
 
-# config-file key -> (ExperimentConfig field, value parser, sweep axis?)
+# config-file key -> (ExperimentConfig field, value parser)
 CONFIG_KEYS = {
-    "scheme": ("scheme", str, False),
-    "source": ("source", str, False),
-    "delta": ("delta", float, True),
-    "levels": ("levels", parse_count, True),
-    "offsets": ("offsets", parse_count, True),
-    "lambda": ("lam", float, True),
-    "samples": ("n_samples", parse_count, True),
-    "seed": ("seed", parse_seed, True),
-    "origin": ("origin", float, False),
+    "scheme": ("scheme", str),
+    "source": ("source", str),
+    "delta": ("delta", float),
+    "levels": ("levels", parse_count),
+    "offsets": ("offsets", parse_count),
+    "lambda": ("lam", float),
+    "samples": ("n_samples", parse_count),
+    "seed": ("seed", parse_seed),
+    "origin": ("origin", float),
+}
+
+# scheme -> the config keys a sweep may vary: those its run reads
+SCHEME_AXES = {
+    "circle-staggered": ("levels", "offsets", "samples", "seed"),
+    "circle-dithered": ("levels", "samples", "seed"),
+    "scalar-staggered": ("delta", "offsets", "samples", "seed"),
+    "frontier": ("lambda",),
 }
 
 
@@ -156,16 +166,19 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                 point.distortion)]
 
 
-_AXES = sorted(key for key, (_, _, axis) in CONFIG_KEYS.items() if axis)
-
-
 def sweep(base: ExperimentConfig, axis: str, values) -> list[dict]:
-    """One run per value of a numeric parameter, rows ordered by value."""
-    if axis not in _AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; use one of {_AXES}")
+    """One run per value of a numeric parameter, rows ordered by value.
+
+    The axis must be one the base config's scheme reads (``SCHEME_AXES``),
+    so that no sweep repeats one run under one label.
+    """
+    if axis not in SCHEME_AXES[base.scheme]:
+        raise ValueError(f"{base.scheme} reads only "
+                         f"{', '.join(SCHEME_AXES[base.scheme])}; cannot "
+                         f"sweep {axis!r}")
     if len(values) == 0:
         raise ValueError(f"no values to sweep {axis!r} over")
-    field, parse, _ = CONFIG_KEYS[axis]
+    field, parse = CONFIG_KEYS[axis]
     try:
         parsed = [parse(v) for v in values]
     except ValueError as exc:
@@ -193,7 +206,7 @@ def parse_config_file(path: str) -> ExperimentConfig:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            field, parse, _ = CONFIG_KEYS[key]
+            field, parse = CONFIG_KEYS[key]
             try:
                 kwargs[field] = parse(value.strip())
             except ValueError as exc:

@@ -12,11 +12,13 @@ share one step, the dithered coder being its continuous-offset case, so
 the two circle references pin that step from both sides.
 """
 
+import contextlib
 import dataclasses
 import math
 import os
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -459,6 +461,41 @@ def test_a_child_error_that_cannot_be_pickled_is_named(monkeypatch,
     with pytest.raises(RuntimeError, match=r"_(Unpicklable|NeedsTwo)\("
                                            r"'block 400'.*cannot be pickled"):
         _run_tagged(step)
+    _assert_no_child_left()
+
+
+def test_a_child_that_dies_before_it_reports_is_named(monkeypatch):
+    monkeypatch.setattr(metrics, "WORKERS", 2)
+    caller = os.getpid()
+
+    def step(u, out):
+        if os.getpid() != caller:
+            os._exit(3)
+        out[0][...] = u
+        out[1][...] = 0
+        out[2][...] = u
+
+    with pytest.raises(RuntimeError, match=f"^the worker of range 1 ended "
+                                           f"with wait status {3 << 8}$"):
+        _run_tagged(step)
+    _assert_no_child_left()
+
+
+def test_a_range_that_returns_sends_nothing(monkeypatch):
+    # every range writes into the run's arrays, so a child's pipe stays
+    # empty unless its range raised
+    monkeypatch.setattr(metrics, "WORKERS", 3)
+    received = []
+
+    @contextlib.contextmanager
+    def recorded(fd, mode, closefd=True):
+        with open(fd, mode, closefd=closefd) as pipe:
+            yield types.SimpleNamespace(
+                read=lambda: received.append(pipe.read()) or received[-1])
+
+    monkeypatch.setattr(metrics, "open", recorded, raising=False)
+    simulate_pipeline(PIPELINE_SPECS[3], SPLIT_SAMPLES, SampleStreams(1))
+    assert received == [b"", b""]
     _assert_no_child_left()
 
 

@@ -451,6 +451,22 @@ def test_sweep_over_offsets_rejects_dithered_circle(tmp_path, capsys):
     assert err.startswith("rdplab: error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("scheme, axis", [
+    ("scalar-staggered", "levels"), ("frontier", "seed"),
+    ("frontier", "samples"), ("circle-staggered", "delta"),
+    ("circle-staggered", "lambda")])
+def test_sweep_over_an_axis_the_scheme_ignores_exits_one(tmp_path, capsys,
+                                                         scheme, axis):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"scheme = {scheme}\nsource = gauss:0,1\nsamples = 1024\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                             "--axis", axis, "--values", "2,3")
+    reads = ", ".join(simlab.SCHEME_AXES[scheme])
+    assert code == 1 and out == ""
+    assert err == (f"rdplab: error: {scheme} reads only {reads}; cannot "
+                   f"sweep '{axis}'\n")
+
+
 def test_help_exits_zero(capsys):
     assert cli_dispatch(["--help"]) == 0
     for sub in ("circle-closed-form", "circle-simulate", "one-shot-frontier",

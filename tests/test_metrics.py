@@ -38,21 +38,6 @@ def test_mse_independent_uniforms():
     assert abs(mean - 1.0 / 6.0) <= radius
 
 
-def test_running_moments_merge_matches_bulk():
-    rng = np.random.default_rng(3)
-    data = rng.random(10_000)
-    bulk = RunningMoments()
-    bulk.update(data)
-    merged = RunningMoments()
-    for part in np.array_split(data, 7):
-        piece = RunningMoments()
-        piece.update(part)
-        merged.merge(piece)
-    assert merged.n == bulk.n
-    assert merged.mean == pytest.approx(bulk.mean, rel=1e-12)
-    assert merged.variance() == pytest.approx(bulk.variance(), rel=1e-10)
-
-
 def test_plugin_entropy_values():
     assert plugin_entropy([17]) == 0.0
     assert math.copysign(1.0, plugin_entropy([17])) == 1.0   # not -0.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rdplab import simlab
 from rdplab.circle import staggered_circle_rd
 from rdplab.simlab import (ExperimentConfig, parse_config_file, run_experiment,
                            sweep)
@@ -87,6 +88,45 @@ def test_sweep_rejects_unknown_axis():
     base = ExperimentConfig(scheme="circle-staggered")
     with pytest.raises(ValueError):
         sweep(base, "shape", [1, 2])
+
+
+# the axes each scheme reads, and an axis it never reads
+READS = {"circle-staggered": "levels, offsets, samples, seed",
+         "circle-dithered": "levels, samples, seed",
+         "scalar-staggered": "delta, offsets, samples, seed",
+         "frontier": "lambda"}
+UNREAD_AXES = [("scalar-staggered", "levels"), ("frontier", "seed"),
+               ("frontier", "samples"), ("circle-staggered", "delta"),
+               ("circle-staggered", "lambda"), ("circle-dithered", "offsets")]
+
+
+@pytest.mark.parametrize("scheme, axis", UNREAD_AXES)
+def test_sweep_refuses_an_axis_its_scheme_ignores(monkeypatch, scheme, axis):
+    # one run per value would repeat one row under one label
+    runs = []
+    monkeypatch.setattr(simlab, "run_experiment", runs.append)
+    base = ExperimentConfig(scheme=scheme, source="gauss:0,1")
+    with pytest.raises(ValueError, match=f"^{scheme} reads only "
+                                         f"{READS[scheme]}; cannot sweep "
+                                         f"'{axis}'$"):
+        sweep(base, axis, [2, 3])
+    assert runs == []
+
+
+def test_every_scheme_reads_its_axes():
+    # a sweep over each axis a scheme reads changes its row
+    base = {"circle-staggered": dict(levels=2, offsets=1, n_samples=2048),
+            "circle-dithered": dict(levels=2, n_samples=2048),
+            "scalar-staggered": dict(source="gauss:0,1", n_samples=2048),
+            "frontier": {}}
+    values = {"levels": [2, 3], "offsets": [1, 2], "delta": [0.25, 0.5],
+              "lambda": [1.0, 2.0], "samples": [2048, 3000], "seed": [0, 1]}
+    for scheme, axes in simlab.SCHEME_AXES.items():
+        assert ", ".join(axes) == READS[scheme]
+        config = ExperimentConfig(scheme=scheme, **base[scheme])
+        for axis in axes:
+            first, second = sweep(config, axis, values[axis])
+            assert first != second, (scheme, axis)
 
 
 def test_sweep_rejects_empty_values():
