@@ -14,8 +14,9 @@ each after the first run in a child forked for the call.  Every range
 writes its reconstructions, its count row and its blocks' moments into
 the run's arrays, shared with the children when there are any, and the
 caller combines the block moments in block order, so no chunk length or
-worker count changes a result.  A child's pipe carries only the error
-its range raised.
+worker count changes a result.  A child reports only through its exit
+status; the caller runs the first range whose child raised again, to
+raise its error itself.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import functools
 import math
 import mmap
 import os
-import pickle
 import signal
 import threading
 from collections.abc import Iterable
@@ -62,6 +62,12 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
 # and 1.08x; 512 blocks 1.38x, 1.11x and 1.22x; 1024 blocks 1.46x, 1.24x
 # and 1.30x.
 PARALLEL_MIN_BLOCKS = 512
+
+# The exit status of a forked range's child whose range raised an
+# Exception; the caller then runs that range again to raise it.  Status 1,
+# Python's own on an uncaught exception, is left for a BaseException that
+# escapes a range.
+RANGE_RAISED = 2
 
 # Sorted values per KS window, the unit in which the KS statistic skips
 # the CDF (see ks_statistic).  After the sort, the Gaussian KS at 2^20
@@ -187,10 +193,12 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
     which each chunk's step reads as the previous chunk's step left them,
     so a step must map such an input's 0 to 0.  A step that raises ends
     its range, and the run raises the error of the first range that
-    raised, so a faulty sample must be named in sample order for every
-    chunk length and worker count to name the same one.  Bins are counted
-    with ``np.add.at``.  Returns the distortion moments, the bin counts and
-    the reconstructions of all samples in sample order.
+    raised (a child reports that it raised by its exit status, and its
+    range is run again here to raise the error), so a faulty sample must
+    be named in sample order for every chunk length and worker count to
+    name the same one.  Bins are counted with ``np.add.at``.  Returns the
+    distortion moments, the bin counts and the reconstructions of all
+    samples in sample order.
     """
     blocks = -(-samples // BLOCK)
     chunks = -(-blocks // CHUNK_BLOCKS)
@@ -298,56 +306,46 @@ def _run_forked(ranges) -> None:
     """Run every range of ``ranges``, the first in this process and each
     other one in a child forked for it.
 
-    A child inherits its range's closure, so nothing is pickled on the way
-    in, and its range writes its results into the run's shared arrays.  A
-    child whose range returns writes nothing to its pipe; one whose range
-    raised pickles the exception into it.  Either way it leaves by
-    ``os._exit``.  A range that gets no child (the pipe or the fork failed)
-    runs here, after the first.  This process reaps every child before it
-    returns or raises, killing those it has not read when it raises
-    itself, and then raises the error of the first range that raised; an
-    exception that cannot be pickled comes back as a RuntimeError that
-    names it, and a child that dies before it reports as a RuntimeError
-    that names its wait status.
+    A child inherits its range's closure and its range writes its results
+    into the run's shared arrays, so it reports only through its exit
+    status (see :func:`_child`).  A range that gets no child (the fork
+    failed) runs here, after the first.  This process reaps every child
+    before it returns or raises, killing them first when it raises
+    itself, and then raises the error of the first range that raised.  A
+    range needs nothing from the blocks before it, so it raises the same
+    exception wherever it runs: the first child whose range raised has
+    its range run again here, which raises its exception.  A child that
+    ends otherwise, or whose range returns when run again, comes back as
+    a RuntimeError that names its wait status.
     """
-    errors, children = [None] * len(ranges), {}    # range -> (pid, pipe)
+    errors, children = [None] * len(ranges), {}    # range -> pid
     try:
         for i, run in enumerate(ranges[1:], 1):
             try:
-                read, write = os.pipe()
-            except OSError:
-                break
-            try:
                 pid = os.fork()
             except OSError:             # no process to spare
-                os.close(read)
-                os.close(write)
                 break
             if pid == 0:
-                os.close(read)
-                _child(run, write)
-            os.close(write)
-            children[i] = pid, read
+                _child(run)
+            children[i] = pid
         for i, run in enumerate(ranges):
             if i not in children:
                 errors[i] = _error(run)
-        for i, (_, read) in children.items():
-            with open(read, "rb", closefd=False) as pipe:
-                errors[i] = pipe.read()     # empty if the range returned
+    except BaseException:
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        for i, (pid, read) in children.items():
-            if errors[i] is None:       # this process raised
-                os.kill(pid, signal.SIGKILL)
-            os.close(read)
-            status = os.waitpid(pid, 0)[1]
-            if status:
-                errors[i] = RuntimeError(f"the worker of range {i} ended "
-                                         f"with wait status {status}")
-    for error in errors:
-        if isinstance(error, bytes):
-            error = pickle.loads(error) if error else None
-        if error is not None:
-            raise error
+        statuses = {i: os.waitpid(pid, 0)[1] for i, pid in children.items()}
+    for i, run in enumerate(ranges):
+        status = statuses.get(i, 0)
+        if status == RANGE_RAISED << 8:
+            errors[i] = _error(run)
+        if status and errors[i] is None:
+            raise RuntimeError(f"the worker of range {i} ended with wait "
+                               f"status {status}")
+        if errors[i] is not None:
+            raise errors[i]
 
 
 def _error(run):
@@ -359,23 +357,13 @@ def _error(run):
     return None
 
 
-def _child(run, write: int) -> None:
-    """Run one forked range; if it raised, pickle its exception into the
-    pipe end ``write``.  Leaves by ``os._exit``, 0 once that is done."""
+def _child(run) -> None:
+    """Run one forked range and leave by ``os._exit``: with status 0 once
+    it returns, RANGE_RAISED once it raised an Exception, and 1 if
+    anything else escapes it."""
     code = 1
     try:
-        error = _error(run)
-        if error is not None:
-            try:
-                data = pickle.dumps(error)
-                pickle.loads(data)
-            except Exception:
-                data = pickle.dumps(RuntimeError(
-                    f"a worker's range raised {error!r}, which cannot be "
-                    f"pickled"))
-            with open(write, "wb") as pipe:
-                pipe.write(data)
-        code = 0
+        code = 0 if _error(run) is None else RANGE_RAISED
     finally:
         os._exit(code)
 
@@ -385,6 +373,7 @@ def entropy_bits(probs) -> float:
 
     Zero entries contribute nothing.
     """
+    probs = np.asarray(probs, dtype=float)
     return _entropy_of_positive(probs[probs > 0])
 
 

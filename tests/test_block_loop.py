@@ -12,13 +12,12 @@ share one step, the dithered coder being its continuous-offset case, so
 the two circle references pin that step from both sides.
 """
 
-import contextlib
 import dataclasses
 import math
 import os
 import threading
+import time
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -451,15 +450,15 @@ class _NeedsTwo(Exception):
         super().__init__(message)
 
 
-@pytest.mark.parametrize("exc_type", [
-    _Unpicklable, lambda message: _NeedsTwo(message, 0)],
+@pytest.mark.parametrize("exc_type, raised", [
+    (_Unpicklable, _Unpicklable), (lambda m: _NeedsTwo(m, 0), _NeedsTwo)],
     ids=["unpicklable", "unrebuildable"])
 def test_a_child_error_that_cannot_be_pickled_is_named(monkeypatch,
-                                                       exc_type):
+                                                       exc_type, raised):
+    # the caller runs the faulty range again and raises its error itself
     monkeypatch.setattr(metrics, "WORKERS", 2)
     step = _faulting_step({400}, exc_type)
-    with pytest.raises(RuntimeError, match=r"_(Unpicklable|NeedsTwo)\("
-                                           r"'block 400'.*cannot be pickled"):
+    with pytest.raises(raised, match="^block 400$"):
         _run_tagged(step)
     _assert_no_child_left()
 
@@ -481,21 +480,43 @@ def test_a_child_that_dies_before_it_reports_is_named(monkeypatch):
     _assert_no_child_left()
 
 
-def test_a_range_that_returns_sends_nothing(monkeypatch):
-    # every range writes into the run's arrays, so a child's pipe stays
-    # empty unless its range raised
-    monkeypatch.setattr(metrics, "WORKERS", 3)
-    received = []
+@pytest.mark.parametrize("exc_type, status", [
+    (ValueError, metrics.RANGE_RAISED << 8), (SystemExit, 1 << 8)],
+    ids=["raises", "exits"])
+def test_a_child_that_fails_only_there_is_named(monkeypatch, exc_type,
+                                                status):
+    # a range that raises in its child alone returns when run again here,
+    # and a SystemExit ends its child with another status
+    monkeypatch.setattr(metrics, "WORKERS", 2)
+    caller = os.getpid()
 
-    @contextlib.contextmanager
-    def recorded(fd, mode, closefd=True):
-        with open(fd, mode, closefd=closefd) as pipe:
-            yield types.SimpleNamespace(
-                read=lambda: received.append(pipe.read()) or received[-1])
+    def step(u, out):
+        if os.getpid() != caller:
+            raise exc_type("only in the child")
+        out[0][...] = u
+        out[1][...] = 0
+        out[2][...] = u
 
-    monkeypatch.setattr(metrics, "open", recorded, raising=False)
-    simulate_pipeline(PIPELINE_SPECS[3], SPLIT_SAMPLES, SampleStreams(1))
-    assert received == [b"", b""]
+    with pytest.raises(RuntimeError, match=f"^the worker of range 1 ended "
+                                           f"with wait status {status}$"):
+        _run_tagged(step)
+    _assert_no_child_left()
+
+
+def test_a_caller_that_raises_kills_its_children(monkeypatch):
+    # each of the child's chunks would sleep 5 s
+    monkeypatch.setattr(metrics, "WORKERS", 2)
+    caller = os.getpid()
+
+    def step(u, out):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(5)
+
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _run_tagged(step)
+    assert time.monotonic() - started < 2.0
     _assert_no_child_left()
 
 

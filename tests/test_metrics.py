@@ -45,6 +45,8 @@ def test_plugin_entropy_values():
     assert plugin_entropy([1, 2, 2, 2, 1]) == pytest.approx(2.25, abs=1e-12)
     assert entropy_bits(np.array([0.25, 0.0, 0.5, 0.25])) == 1.5
     assert math.copysign(1.0, entropy_bits(np.array([1.0, 0.0]))) == 1.0
+    assert entropy_bits([0.5, 0.0, 0.5]) == 1.0
+    assert entropy_bits((0.25, 0.25, 0.5)) == 1.5
 
 
 @settings(max_examples=200, deadline=None)
