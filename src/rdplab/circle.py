@@ -24,6 +24,7 @@ half the circle) is the staggered scheme with L=2, N=1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,15 +106,17 @@ def simulate_staggered_circle(levels: int, offsets: int, samples: int,
     """
     if levels < 1 or offsets < 1:
         raise ValueError("levels and offsets must be >= 1")
-
-    def to_angle(n):
-        n *= math.tau
-        n /= levels * offsets
-
     return _simulate_circle(levels, samples, streams,
-                            Offsets(offsets, np.float64), to_angle,
+                            Offsets(offsets, np.float64),
+                            functools.partial(_to_angle, levels * offsets),
                             noise_half=math.pi / (levels * offsets),
                             rate_bits=None)
+
+
+def _to_angle(grids: int, n) -> None:
+    """Offset indices n, in place, to their angles 2 pi n / grids."""
+    n *= math.tau
+    n /= grids
 
 
 def simulate_dithered_circle(levels: int, samples: int,
@@ -127,14 +130,15 @@ def simulate_dithered_circle(levels: int, samples: int,
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    cell = math.tau / levels
-
-    def to_dither(u):
-        np.subtract(0.5, u, out=u)
-        u *= cell
-
-    return _simulate_circle(levels, samples, streams, DOUBLES, to_dither,
+    return _simulate_circle(levels, samples, streams, DOUBLES,
+                            functools.partial(_to_dither, math.tau / levels),
                             noise_half=0.0, rate_bits=math.log2(levels))
+
+
+def _to_dither(cell: float, u) -> None:
+    """Uniforms u on [0, 1), in place, to dithers (0.5 - u) * cell."""
+    np.subtract(0.5, u, out=u)
+    u *= cell
 
 
 def _simulate_circle(levels, samples, streams, offset_draw, to_offset,
@@ -153,31 +157,10 @@ def _simulate_circle(levels, samples, streams, offset_draw, to_offset,
     """
     if levels > MAX_LEVELS:
         raise ValueError(f"levels must be <= {MAX_LEVELS}, got {levels}")
-    cell = math.tau / levels
     shift = levels // 2 + 2
-
-    def step(theta, offset, *noise, out):
-        theta *= math.tau
-        theta -= math.pi
-        to_offset(offset)
-        err2, bins, theta_hat = out
-        t = np.subtract(theta, offset, out=err2)
-        t /= cell
-        t += 0.5
-        np.add(np.floor(t, out=t), shift, out=bins, casting="unsafe")
-        center = np.multiply(t, cell, out=err2)
-        center += offset
-        if noise_half:
-            arc = np.multiply(noise[0], 2.0, out=theta_hat)
-            arc -= 1.0
-            arc *= noise_half
-            center += arc
-        wrap_angle(center, out=theta_hat)
-        cos = np.cos(np.subtract(theta, theta_hat, out=err2), out=err2)
-        cos *= 2.0
-        np.subtract(2.0, cos, out=err2)
-
     draws = (DOUBLES, offset_draw) + ((DOUBLES,) if noise_half else ())
+    step = functools.partial(_circle_step, math.tau / levels, shift,
+                             to_offset, noise_half)
     dist, counts, recon = simulate_chunks(
         streams, samples, draws, step, 2 * shift + 1)
     counts = _fold(counts, shift, levels)
@@ -192,6 +175,31 @@ def _simulate_circle(levels, samples, streams, offset_draw, to_offset,
         mc_radius_mse=dist.mc_radius(),
         index_entropy_bits=index_entropy,
     )
+
+
+def _circle_step(cell, shift, to_offset, noise_half, theta, offset, *noise,
+                 out) -> None:
+    """The engine step of both circle coders (see ``_simulate_circle``)
+    on cells of ``cell`` radians."""
+    theta *= math.tau
+    theta -= math.pi
+    to_offset(offset)
+    err2, bins, theta_hat = out
+    t = np.subtract(theta, offset, out=err2)
+    t /= cell
+    t += 0.5
+    np.add(np.floor(t, out=t), shift, out=bins, casting="unsafe")
+    center = np.multiply(t, cell, out=err2)
+    center += offset
+    if noise_half:
+        arc = np.multiply(noise[0], 2.0, out=theta_hat)
+        arc -= 1.0
+        arc *= noise_half
+        center += arc
+    wrap_angle(center, out=theta_hat)
+    cos = np.cos(np.subtract(theta, theta_hat, out=err2), out=err2)
+    cos *= 2.0
+    np.subtract(2.0, cos, out=err2)
 
 
 def _fold(bin_counts, shift, levels):

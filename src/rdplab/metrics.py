@@ -10,23 +10,29 @@ offsets, and the simulator's one step runs on them: its affine maps, its
 arithmetic and its guards, in place in arrays the engine allocates once
 per block range; then each block's moments and the bin counts.  A run of
 at least PARALLEL_MIN_BLOCKS blocks is split into WORKERS block ranges,
-each after the first run in a child forked for the call.  Every range
-writes its reconstructions, its count row and its blocks' moments into
-the run's arrays, shared with the children when there are any, and the
-caller combines the block moments in block order, so no chunk length or
-worker count changes a result.  A child reports only through its exit
-status; the caller runs the first range whose child raised again, to
-raise its error itself.
+each after the first run by a helper process.  A process forks its
+helpers at its first split run and keeps them for every later one; they
+share with it one anonymous ``mmap`` arena, made before they fork.  Each
+helper gets its range as a pickled job and answers with one status byte.
+Every range writes its reconstructions, its count row and its blocks'
+moments into the run's arrays, in the arena when the run is split, and
+the caller combines the block moments in block order, so no chunk length
+or worker count changes a result.  The caller runs again the first range
+whose helper reports that it raised, to raise its error itself.
 """
 
 from __future__ import annotations
 
+import atexit
 import functools
+import io
 import math
 import mmap
 import os
+import pickle
 import signal
 import threading
+from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -52,22 +58,31 @@ CHUNK_BLOCKS = 32
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else 1
 
-# The fewest blocks whose run pays for its forks.  A fork, its page
-# faults and its reaping cost about 10 ms on the 2-core box: a page fault
-# takes 3-4 us on a fresh page of the shared buffer or on the first write
-# to a page the child still shares, and each process of a 2^20-sample run
-# takes about 2,300 of them.  Medians of 21 alternating calls at 1
-# and 2 workers: 256 blocks ran 1.16x (Gaussian pipeline), 0.77x
-# (uniform pipeline) and 0.87x (dithered circle); 384 blocks 1.11x, 1.01x
-# and 1.08x; 512 blocks 1.38x, 1.11x and 1.22x; 1024 blocks 1.46x, 1.24x
-# and 1.30x.
+# The fewest blocks whose run pays for splitting.  Measured when each
+# split call forked a child of its own, which with its page faults and its
+# reaping cost about 10 ms on the 2-core box.  Medians of 21 alternating
+# calls at 1 and 2 workers: 256 blocks ran 1.16x (Gaussian pipeline),
+# 0.77x (uniform pipeline) and 0.87x (dithered circle); 384 blocks 1.11x,
+# 1.01x and 1.08x; 512 blocks 1.38x, 1.11x and 1.22x; 1024 blocks 1.46x,
+# 1.24x and 1.30x.
 PARALLEL_MIN_BLOCKS = 512
 
-# The exit status of a forked range's child whose range raised an
-# Exception; the caller then runs that range again to raise it.  Status 1,
-# Python's own on an uncaught exception, is left for a BaseException that
-# escapes a range.
+# The status byte of a helper whose range raised an Exception; the caller
+# then runs that range again to raise it.  A helper whose range returned
+# writes 0.
 RANGE_RAISED = 2
+
+# Pickled bytes of a run's job per sample beyond which the run is not
+# split: the job is sent whole to each helper, which unpickles it before
+# its range starts.  On the 2-core box a 2^20-sample uniform pipeline ran
+# 1.65x faster at 2 workers with a 0.6 MB job (a 10^4-code table), 1.38x
+# at 2.4 MB, 0.95x at 4.9 MB and 0.83x at 20 MB.
+MAX_JOB_BYTES_PER_SAMPLE = 2
+
+# The arena grows in steps of this many bytes, so that runs of one sample
+# count with different bin counts share it.  Pages that no run writes
+# take no memory.
+ARENA_GRAIN = 1 << 20
 
 # Sorted values per KS window, the unit in which the KS statistic skips
 # the CDF (see ks_statistic).  After the sort, the Gaussian KS at 2^20
@@ -159,18 +174,22 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
     A run of at least PARALLEL_MIN_BLOCKS blocks is split into up to
     WORKERS contiguous block ranges, each starting on a CHUNK_BLOCKS
     boundary, so every range runs the chunks one range would run.  Range 0
-    runs in the calling process and each other range in a child forked for
-    this call (see :func:`_run_forked`); a shorter run, or one on a
-    machine with one core or without ``os.fork``, or from a process that
-    runs other threads, is one range run in the calling process.
+    runs in the calling process and each other range in a helper process
+    this process keeps across calls (see :func:`_run_split`).  The streams,
+    draws and step travel to the helpers pickled, so a step that must
+    split is a module-level function, or one bound with
+    ``functools.partial``.  A shorter run, one on a machine with one core
+    or without ``os.fork``, one from a process that runs other threads,
+    and one whose step or draws do not pickle, or pickle to more than
+    MAX_JOB_BYTES_PER_SAMPLE bytes per sample (a large boundary table), is
+    one range run in the calling process.
 
     Every range, wherever it runs, writes into the run's arrays (see
-    :func:`_run_array`): its samples' reconstructions, its row of a
+    :func:`_run_arrays`): its samples' reconstructions, its row of a
     (ranges x n_bins) count array, and each of its blocks' mean and m2 of
     the squared errors into two arrays indexed by block.  Once every range
     has run, the block moments are combined in block order and the count
-    rows added into row 0, so no chunk length or worker count changes a
-    result.
+    rows added, so no chunk length or worker count changes a result.
 
     In each range every other array is allocated once, for a chunk of at
     most CHUNK_BLOCKS whole blocks: one zeroed input array per draw in
@@ -193,57 +212,102 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
     which each chunk's step reads as the previous chunk's step left them,
     so a step must map such an input's 0 to 0.  A step that raises ends
     its range, and the run raises the error of the first range that
-    raised (a child reports that it raised by its exit status, and its
-    range is run again here to raise the error), so a faulty sample must
-    be named in sample order for every chunk length and worker count to
-    name the same one.  Bins are counted with ``np.add.at``.  Returns the
-    distortion moments, the bin counts and the reconstructions of all
-    samples in sample order.
+    raised (a helper reports that its range raised, and the range is run
+    again here to raise the error), so a faulty sample must be named in
+    sample order for every chunk length and worker count to name the
+    same one.  Bins are counted with ``np.add.at``.
+
+    Returns the distortion moments, the bin counts (an array of their
+    own) and the reconstructions of all samples in sample order.  A split
+    run's reconstructions are borrowed: a view into the arena, valid until
+    the next split run in this process, so a caller that keeps them past
+    that must copy them.  The simulators sort them in place for the KS at
+    once.
     """
     blocks = -(-samples // BLOCK)
     chunks = -(-blocks // CHUNK_BLOCKS)
-    parts = 1
-    # a child forked beside other threads may need a lock one of them held
+    parts, job, pool = 1, None, None
+    # a helper forked beside other threads may need a lock one of them held
     if (blocks >= PARALLEL_MIN_BLOCKS and hasattr(os, "fork")
             and threading.active_count() == 1):
         parts = min(WORKERS, chunks)
-    # separate allocations, so that a caller may free the counts and keep
-    # the reconstructions
-    recon = _run_array(parts, float, samples)
-    counts = _run_array(parts, np.int64, parts, n_bins)
-    means, m2s = _run_array(parts, float, 2, blocks)
+    run = (streams, samples, draws, step, work, CHUNK_BLOCKS)
+    if parts > 1:
+        job = _pickled(run + (n_bins, parts),
+                       MAX_JOB_BYTES_PER_SAMPLE * samples)
+    if job is None:
+        parts = 1
+    else:
+        pool = _pool_for(parts - 1,
+                         8 * (samples + parts * n_bins + 2 * blocks))
+    recon, counts, moments = _run_arrays(samples, parts, n_bins,
+                                         None if pool is None else pool.arena)
+    counts[...] = 0                     # the ranges write everything else
     edges = [min(i * chunks // parts * CHUNK_BLOCKS, blocks)
              for i in range(parts + 1)]
-    _run_forked([
-        functools.partial(_run_range, streams, samples, draws, step, work,
-                          edges[i], edges[i + 1], recon, counts[i], means,
-                          m2s)
-        for i in range(parts)])
+    ranges = [functools.partial(_run_range, *run, edges[i], edges[i + 1],
+                                recon, counts[i], moments)
+              for i in range(parts)]
+    if pool is None:
+        ranges[0]()
+    else:
+        _run_split(pool, ranges, edges, job)
     dist = RunningMoments()
-    for k, (mean, m2) in enumerate(zip(means.tolist(), m2s.tolist())):
+    for k, (mean, m2) in enumerate(zip(*moments.tolist())):
         dist._combine(min(BLOCK, samples - k * BLOCK), mean, m2)
-    for row in counts[1:]:
-        counts[0] += row
-    return dist, counts[0], recon
+    # a split run's counts leave the arena as an array of their own
+    return dist, counts[0] if pool is None else counts.sum(axis=0), recon
 
 
-def _run_array(parts: int, dtype, *shape):
-    """A zeroed array of a run: on the heap for a one-range run, in an
-    anonymous shared ``mmap`` that forked ranges write into otherwise."""
-    if parts == 1:
-        return np.zeros(shape, dtype)
-    size = math.prod(shape) * np.dtype(dtype).itemsize
-    return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+def _pickled(run, cap: int):
+    """``run`` pickled, or None if it does not pickle or its pickle would
+    pass ``cap`` bytes (pickling stops there)."""
+    out = _CappedBuffer(cap)
+    try:
+        pickle.Pickler(out, pickle.HIGHEST_PROTOCOL).dump(run)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return None
+    return out.getvalue()
 
 
-def _run_range(streams, samples, draws, step, work, start, stop, recon,
-               counts, means, m2s):
-    """The chunks of blocks start .. stop-1 (start on a CHUNK_BLOCKS
-    boundary) as ``simulate_chunks`` describes them: the reconstructions
-    go into their samples of ``recon``, the bins are added to ``counts``
-    and each block's mean and m2 go into its entries of ``means`` and
-    ``m2s``."""
-    blocks = min(CHUNK_BLOCKS, stop - start)
+class _CappedBuffer(io.BytesIO):
+    """A bytes buffer that refuses a write past ``cap`` bytes."""
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+
+    def write(self, data) -> int:
+        if self.tell() + memoryview(data).nbytes > self.cap:
+            raise pickle.PicklingError(f"a job of more than {self.cap} bytes")
+        return super().write(data)
+
+
+def _run_arrays(samples: int, parts: int, n_bins: int, arena=None):
+    """The reconstructions, the (parts x n_bins) counts and the
+    (2 x blocks) block means and m2 of a run: zeroed arrays on the heap,
+    or views laid one after another from the start of ``arena``, which
+    hold what the arena's last run left."""
+    layout = (((samples,), float), ((parts, n_bins), np.int64),
+              ((2, -(-samples // BLOCK)), float))
+    if arena is None:
+        return [np.zeros(shape, dtype) for shape, dtype in layout]
+    arrays, at = [], 0
+    for shape, dtype in layout:
+        size = math.prod(shape)
+        arrays.append(np.frombuffer(arena, dtype, size, at).reshape(shape))
+        at += 8 * size
+    return arrays
+
+
+def _run_range(streams, samples, draws, step, work, chunk_blocks, start,
+               stop, recon, counts, moments):
+    """The chunks of at most ``chunk_blocks`` blocks of blocks start ..
+    stop-1 (start on a chunk boundary of the run) as ``simulate_chunks``
+    describes them: the reconstructions go into their samples of
+    ``recon``, the bins are added to ``counts`` and each block's mean and
+    m2 go into its column of ``moments``."""
+    blocks = min(chunk_blocks, stop - start)
     rows = blocks * BLOCK
     inputs = [np.zeros(rows, draw.dtype) for draw in draws]
     # draw i's words start at column first[i], adjacent in draw order;
@@ -263,8 +327,9 @@ def _run_range(streams, samples, draws, step, work, start, stop, recon,
     raw = np.zeros((blocks, col), np.uint64)
     err2, bins = np.empty(rows), np.empty(rows, dtype=np.int64)
     scratch = [np.empty(rows) for _ in range(work)]
+    means, m2s = moments
     for k, size, rng in streams.iter_blocks(samples, start, stop):
-        row = (k - start) % CHUNK_BLOCKS    # the block's row in its chunk
+        row = (k - start) % chunk_blocks    # the block's row in its chunk
         at = row * BLOCK
         if size < BLOCK:                    # the last block
             steps = [(d.draw, i, first[i],
@@ -276,7 +341,7 @@ def _run_range(streams, samples, draws, step, work, start, stop, recon,
             elif c1 > c0:
                 raw[row, c0:c1] = rng.bit_generator.random_raw(c1 - c0)
         filled, drawn = at + size, k * BLOCK + size
-        if row + 1 < CHUNK_BLOCKS and k + 1 < stop:
+        if row + 1 < chunk_blocks and k + 1 < stop:
             continue
         for draw, i, cols in words:
             draw.numbers(raw[:row + 1, cols],
@@ -302,48 +367,52 @@ def _block_moments(values, means, m2s) -> None:
             np.square(rows, out=rows).sum(axis=1, out=m2s[at])
 
 
-def _run_forked(ranges) -> None:
-    """Run every range of ``ranges``, the first in this process and each
-    other one in a child forked for it.
+def _run_split(pool, ranges, edges, job) -> None:
+    """Run every range of ``ranges`` (blocks ``edges[i]`` ..
+    ``edges[i + 1]`` - 1 of the run pickled in ``job``), the first in this
+    process and each other one in a helper of ``pool``.
 
-    A child inherits its range's closure and its range writes its results
-    into the run's shared arrays, so it reports only through its exit
-    status (see :func:`_child`).  A range that gets no child (the fork
-    failed) runs here, after the first.  This process reaps every child
-    before it returns or raises, killing them first when it raises
-    itself, and then raises the error of the first range that raised.  A
-    range needs nothing from the blocks before it, so it raises the same
-    exception wherever it runs: the first child whose range raised has
-    its range run again here, which raises its exception.  A child that
-    ends otherwise, or whose range returns when run again, comes back as
-    a RuntimeError that names its wait status.
+    A helper gets the job and its range's index and blocks, pickled,
+    writes its results into the arena and reports by one status byte (see
+    :func:`_serve`).  A range that gets no helper (none could be forked,
+    or its job could not be written) runs here, after the first.  This
+    process reads the status of every helper it sent a job before it
+    returns or raises, so no helper writes into the arena after the call;
+    when it raises itself, it kills its busy helpers instead.  Then it
+    raises the error of the first range that raised.  A range needs
+    nothing from the blocks before it, so it raises the same exception
+    wherever it runs: a helper whose range raised has its range run again
+    here, which raises its exception.  A helper that ends (its status pipe
+    reaches end of file), or whose range returns when run again here,
+    comes back as a RuntimeError that names its range.
     """
-    errors, children = [None] * len(ranges), {}    # range -> pid
+    errors, rerun, busy = [None] * len(ranges), set(), {}
     try:
-        for i, run in enumerate(ranges[1:], 1):
-            try:
-                pid = os.fork()
-            except OSError:             # no process to spare
-                break
-            if pid == 0:
-                _child(run)
-            children[i] = pid
+        for i, helper in enumerate(pool.helpers[:len(ranges) - 1], 1):
+            if pool.send(helper, job + pickle.dumps((i, edges[i],
+                                                     edges[i + 1]))):
+                busy[i] = helper
         for i, run in enumerate(ranges):
-            if i not in children:
+            if i not in busy:
                 errors[i] = _error(run)
+        for i, helper in list(busy.items()):
+            status = os.read(helper.status, 1)
+            del busy[i]
+            if not status:
+                errors[i] = RuntimeError(
+                    f"the worker of range {i} ended with wait status "
+                    f"{pool.end(helper)}")
+            elif status[0] == RANGE_RAISED:
+                rerun.add(i)
     except BaseException:
-        for pid in children.values():
-            os.kill(pid, signal.SIGKILL)
+        for helper in busy.values():
+            pool.end(helper, kill=True)
         raise
-    finally:
-        statuses = {i: os.waitpid(pid, 0)[1] for i, pid in children.items()}
     for i, run in enumerate(ranges):
-        status = statuses.get(i, 0)
-        if status == RANGE_RAISED << 8:
-            errors[i] = _error(run)
-        if status and errors[i] is None:
-            raise RuntimeError(f"the worker of range {i} ended with wait "
-                               f"status {status}")
+        if i in rerun:
+            errors[i] = _error(run) or RuntimeError(
+                f"the worker of range {i} raised, and the range returns "
+                f"when run again here")
         if errors[i] is not None:
             raise errors[i]
 
@@ -357,13 +426,148 @@ def _error(run):
     return None
 
 
-def _child(run) -> None:
-    """Run one forked range and leave by ``os._exit``: with status 0 once
-    it returns, RANGE_RAISED once it raised an Exception, and 1 if
-    anything else escapes it."""
+# A helper process, and this process's ends of its pipes: the write end
+# of its job pipe and the read end of its status pipe
+_Helper = namedtuple("_Helper", "pid jobs status")
+
+
+class _Pool:
+    """This process's helpers and the arena it shares with them.
+
+    The arena, an anonymous shared ``mmap``, is made before the first
+    helper forks, so every helper maps the same pages.  It is never made
+    smaller: it keeps the largest split run's arrays, and a pool whose
+    arena is too small for a run is retired for a larger one.
+    """
+
+    def __init__(self, size: int):
+        self.arena = mmap.mmap(-1, -(-size // ARENA_GRAIN) * ARENA_GRAIN)
+        self.helpers: list[_Helper] = []
+
+    def fork(self, count: int) -> None:
+        """Fork helpers until there are ``count``, or a fork fails."""
+        while len(self.helpers) < count:
+            (job_r, job_w), (status_r, status_w) = os.pipe(), os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:             # no process to spare
+                for fd in (job_r, job_w, status_r, status_w):
+                    os.close(fd)
+                return
+            if pid == 0:
+                _serve(job_r, status_w, self.arena, (job_w, status_r))
+            os.close(job_r)
+            os.close(status_w)
+            self.helpers.append(_Helper(pid, job_w, status_r))
+
+    def send(self, helper: _Helper, data: bytes) -> bool:
+        """Write ``data`` to ``helper``'s job pipe; a helper whose pipe
+        fails is ended, and False returned."""
+        view = memoryview(data)
+        try:
+            while view:
+                view = view[os.write(helper.jobs, view):]
+        except OSError:                 # the helper is gone
+            self.end(helper, kill=True)
+            return False
+        return True
+
+    def drop(self, helper: _Helper) -> None:
+        """Forget ``helper`` and close this process's ends of its pipes."""
+        self.helpers.remove(helper)
+        os.close(helper.jobs)
+        os.close(helper.status)
+
+    def end(self, helper: _Helper, kill: bool = False):
+        """Drop ``helper``, whose closed job pipe ends it, SIGKILL it first
+        if ``kill``, and reap it: its wait status, or None if something
+        else reaped it."""
+        self.drop(helper)
+        if kill:
+            os.kill(helper.pid, signal.SIGKILL)
+        try:
+            return os.waitpid(helper.pid, 0)[1]
+        except ChildProcessError:
+            return None
+
+
+# This process's pool, or None before its first split run and in a child
+# that a fork has just made
+_pool: _Pool | None = None
+
+
+def _pool_for(count: int, size: int) -> _Pool:
+    """This process's pool, with an arena of at least ``size`` bytes and
+    up to ``count`` helpers: it forgets the helpers that have ended,
+    retires the pool for a new one if its arena is too small, and forks
+    the helpers that are missing."""
+    global _pool
+    if _pool is not None:
+        for helper in list(_pool.helpers):
+            try:
+                ended = os.waitpid(helper.pid, os.WNOHANG)[0] != 0
+            except ChildProcessError:
+                ended = True
+            if ended:
+                _pool.drop(helper)
+        if len(_pool.arena) < size:
+            retire_helpers()
+    if _pool is None:
+        _pool = _Pool(size)
+    _pool.fork(count)
+    return _pool
+
+
+def retire_helpers() -> None:
+    """End this process's helpers: close their job pipes, on which each
+    leaves, and reap them.  The next split run forks new ones.  Runs at
+    exit, so no helper outlives its process."""
+    global _pool
+    pool, _pool = _pool, None
+    while pool is not None and pool.helpers:
+        pool.end(pool.helpers[0])
+
+
+def _forget_helpers() -> None:
+    """In a child a fork has just made: close the inherited ends of the
+    parent's helper pipes, so that the parent's helpers still leave when
+    the parent closes them, and start without helpers."""
+    global _pool
+    while _pool is not None and _pool.helpers:
+        _pool.drop(_pool.helpers[0])
+    _pool = None
+
+
+atexit.register(retire_helpers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _serve(jobs: int, status: int, arena, inherited) -> None:
+    """A helper's life: close the ``inherited`` pipe ends, then for each
+    job on the ``jobs`` pipe (the pickled run, then its range's index and
+    first and last-plus-one block) run the range into its arrays in
+    ``arena`` and write its status byte to ``status``: 0 once the range
+    returns, RANGE_RAISED once it raised an Exception.  Leaves by
+    ``os._exit``: with status 0 when the job pipe reaches end of file, and
+    1 if anything else escapes, a job that does not load included."""
     code = 1
     try:
-        code = 0 if _error(run) is None else RANGE_RAISED
+        for fd in inherited:
+            os.close(fd)
+        jobs = open(jobs, "rb")
+        while True:
+            try:
+                *run, n_bins, parts = pickle.load(jobs)
+            except EOFError:
+                code = 0
+                break
+            i, start, stop = pickle.load(jobs)
+            recon, counts, moments = _run_arrays(run[1], parts, n_bins,
+                                                 arena)
+            error = _error(functools.partial(
+                _run_range, *run, start, stop, recon, counts[i], moments))
+            os.write(status, bytes([0 if error is None else RANGE_RAISED]))
     finally:
         os._exit(code)
 
@@ -387,7 +591,8 @@ def _entropy_of_positive(p, out=None) -> float:
 
 
 def plugin_entropy(counts) -> float:
-    """Plug-in entropy of an array of counts, in bits.
+    """Plug-in entropy of an array of counts, in bits.  The counts must
+    be finite and non-negative, with a total of at least 1.
 
     No bias correction is applied, so the estimate falls short of the
     entropy.  For gauss:0,1 delta=0.25 N=4 at 2^20 samples (55 codes per
@@ -407,6 +612,9 @@ def plugin_entropy(counts) -> float:
     if np.any(values < 0):
         raise ValueError("negative count")
     total = values.sum()
+    # a sum is finite only if every count is
+    if not math.isfinite(total):
+        raise ValueError("plugin_entropy needs finite counts")
     if total < 1:
         raise ValueError("plugin_entropy needs a total count >= 1")
     values /= total

@@ -9,7 +9,10 @@ straight into chunk arrays it allocates once per block range, and
 ``tests/test_block_loop.py`` checks that every chunk length and worker
 count gives bit-identical results, each block keyed once.  A range of
 blocks needs nothing from the blocks before it, so the engine splits a
-long run into ranges drawn by separate processes.  Seeds are
+long run into ranges drawn by separate processes, and any process may
+draw any range: a helper the engine keeps across runs draws its range
+from nothing but the pickled streams (the seed) and the range's block
+indices.  Seeds are
 non-negative integers of any size; a negative seed is refused when the
 streams are made.
 

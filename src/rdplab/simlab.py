@@ -3,13 +3,15 @@
 Determinism contract: a given (scheme, params, samples, seed) always
 produces bit-identical statistics.  Randomness is consumed in fixed
 1024-sample blocks with one counter-based substream per block (see
-``rng``).  A long run splits its blocks into contiguous ranges, run by
-forked processes (``metrics.simulate_chunks``).  Every range writes its
-blocks' distortion moments into run-long arrays indexed by block and
-its integer bin counts into its own row, and the caller combines the
-moments in block order and adds the rows, so the statistics do not
-depend on the number of processes.  Seeds are non-negative integers of
-any size.
+``rng``).  A long run splits its blocks into contiguous ranges: the
+first runs in the calling process, the others in helper processes that
+it forks at its first split run and keeps (``metrics.simulate_chunks``).
+Every range writes its blocks' distortion moments into run-long arrays
+indexed by block and its integer bin counts into its own row, and the
+caller combines the moments in block order and adds the rows, so the
+statistics do not depend on the number of processes, on which process
+ran which range, or on what the helpers ran before.  Seeds are
+non-negative integers of any size.
 
 Every output row, Monte Carlo or exact, is built by :func:`row`.
 """

@@ -27,6 +27,7 @@ array from its interval by the inverse CDF of its pre-drawn uniform.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -145,10 +146,6 @@ class BoundaryTable:
     @property
     def j_first(self) -> int:
         return int(self.codes[0])
-
-    @property
-    def j_last(self) -> int:
-        return int(self.codes[-1])
 
     def mass_identity_error(self) -> float:
         """max_j |F(b(j)) - F(a(j)) - P(j)| over active codes."""
@@ -384,6 +381,22 @@ def exact_code_distribution(spec: StaggeredSpec) -> CodeDistribution:
     )
 
 
+def _pipeline_step(table: BoundaryTable, x, n, u, out) -> None:
+    """The pipeline's engine step: map x, encode, decode by the table
+    (the one the caller built, which travels with the step to the
+    engine's helpers) and square the errors."""
+    spec = table.spec
+    spec.source.from_standard(x)
+    err2, k, xhat, *work = out
+    encode(spec, x, n, out=k, work=err2)
+    # table rows k = j - j_first of the codes j = N*i + n
+    k *= spec.n_offsets
+    k += n
+    k -= table.j_first
+    _decode_rows(table, k, u, out=xhat, work=(err2, *work))
+    np.square(np.subtract(x, xhat, out=err2), out=err2)
+
+
 def simulate_pipeline(spec: StaggeredSpec, samples: int,
                       streams: SampleStreams) -> ExperimentResult:
     """End-to-end Monte Carlo run: draw X, pick an offset with the common
@@ -395,21 +408,10 @@ def simulate_pipeline(spec: StaggeredSpec, samples: int,
     """
     table = build_boundaries(spec)
     n_off = spec.n_offsets
-
-    def step(x, n, u, out):
-        spec.source.from_standard(x)
-        err2, k, xhat, *work = out
-        encode(spec, x, n, out=k, work=err2)
-        # table rows k = j - j_first of the codes j = N*i + n
-        k *= n_off
-        k += n
-        k -= table.j_first
-        _decode_rows(table, k, u, out=xhat, work=(err2, *work))
-        np.square(np.subtract(x, xhat, out=err2), out=err2)
-
     draws = (spec.source.standard, Offsets(n_off), DOUBLES)
-    dist, counts, recon = simulate_chunks(streams, samples, draws, step,
-                                          table.codes.size, work=2)
+    dist, counts, recon = simulate_chunks(
+        streams, samples, draws, functools.partial(_pipeline_step, table),
+        table.codes.size, work=2)
     per_offset = _by_offset(counts, table.j_first, n_off)
     return ExperimentResult(
         rate_bits=avg_conditional_entropy(c for c in per_offset if c.any()),

@@ -226,7 +226,7 @@ def test_c5_mse_two_offsets_stated_target(uniform_runs):
     delta, n = 0.25, 2
     spec = aligned_uniform_spec(n)
     table = rl.build_boundaries(spec)
-    assert table.j_first == -1 and table.j_last == 7
+    assert table.j_first == -1 and table.codes[-1] == 7
     # interior codes: cell centre origin + delta*j/N, interval of width delta/N
     centre = spec.origin + delta * table.codes[1:-1] / n
     assert np.allclose(table.a[1:-1], centre - delta / 4, rtol=0, atol=1e-15)

@@ -13,8 +13,10 @@ the two circle references pin that step from both sides.
 """
 
 import dataclasses
+import functools
 import math
 import os
+import signal
 import threading
 import time
 import tracemalloc
@@ -102,8 +104,8 @@ def reference_dithered_circle(levels, samples, streams):
 
 
 def _reference_decode(table, j, rng):
-    if np.any(j < table.j_first) or np.any(j > table.j_last):
-        bad = int(j[(j < table.j_first) | (j > table.j_last)][0])
+    if np.any(j < table.j_first) or np.any(j > table.codes[-1]):
+        bad = int(j[(j < table.j_first) | (j > table.codes[-1])][0])
         raise InactiveCodeError(f"code {bad} outside the active table")
     k = j - table.j_first
     if np.any(table.prob[k] <= ACTIVE_EPS):
@@ -210,7 +212,7 @@ ALIGNED_N2 = PIPELINE_SPECS[0]
 
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
-def test_literal_indexing_fault_matches_reference(paper_tables, samples):
+def test_paper_table_fault_matches_reference(paper_tables, samples):
     with pytest.raises(InactiveCodeError) as got:
         simulate_pipeline(ALIGNED_N2, samples, SampleStreams(0))
     with pytest.raises(InactiveCodeError) as want:
@@ -296,9 +298,26 @@ def _count_forks(monkeypatch):
     return forked
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _helper_pids():
+    return [] if metrics._pool is None else [h.pid
+                                             for h in metrics._pool.helpers]
+
+
+def _assert_only_helpers_left():
+    """Every child this process has left is a live helper of the engine:
+    no child has ended unreaped, each helper runs, and where Linux lists
+    the children, they are the helpers."""
+    helpers = sorted(_helper_pids())
+    for pid in helpers:
+        assert os.waitpid(pid, os.WNOHANG) == (0, 0)
+    try:
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)
+    except ChildProcessError:
+        assert helpers == []
+    listed = f"/proc/self/task/{os.getpid()}/children"
+    if os.path.exists(listed):
+        with open(listed) as f:
+            assert sorted(map(int, f.read().split())) == helpers
 
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS + (SPLIT_SAMPLES,))
@@ -326,16 +345,71 @@ SPLIT_SIMULATORS = dict(SIMULATORS, **{
 
 @pytest.mark.parametrize("name", SPLIT_SIMULATORS)
 def test_worker_count_changes_no_result(monkeypatch, name):
+    # each worker count starts without helpers, so its call forks one per
+    # range after the first
     forked = _count_forks(monkeypatch)
     results = []
     for workers in WORKER_COUNTS:
         monkeypatch.setattr(metrics, "WORKERS", workers)
+        metrics.retire_helpers()
         forked.clear()
         results.append(dataclasses.asdict(
             SPLIT_SIMULATORS[name](SPLIT_SAMPLES)))
         assert len(forked) == workers - 1
     assert results == [results[0]] * 3
-    _assert_no_child_left()
+    _assert_only_helpers_left()
+
+
+def test_a_repeated_split_call_forks_nothing(monkeypatch):
+    simulate = SPLIT_SIMULATORS["pipeline"]
+    monkeypatch.setattr(metrics, "WORKERS", 1)
+    want = dataclasses.asdict(simulate(SPLIT_SAMPLES))
+    monkeypatch.setattr(metrics, "WORKERS", 3)
+    metrics.retire_helpers()
+    forked = _count_forks(monkeypatch)
+    assert dataclasses.asdict(simulate(SPLIT_SAMPLES)) == want
+    assert sorted(forked) == sorted(_helper_pids()) and len(forked) == 2
+    forked.clear()
+    for _ in range(2):
+        assert dataclasses.asdict(simulate(SPLIT_SAMPLES)) == want
+    assert forked == []
+    _assert_only_helpers_left()
+
+
+def test_a_larger_run_retires_the_helpers(monkeypatch):
+    # twice the samples need an arena twice as large
+    simulate = SPLIT_SIMULATORS["dithered-circle"]
+    monkeypatch.setattr(metrics, "WORKERS", 1)
+    want = [dataclasses.asdict(simulate(n))
+            for n in (SPLIT_SAMPLES, 2 * SPLIT_SAMPLES)]
+    monkeypatch.setattr(metrics, "WORKERS", 2)
+    metrics.retire_helpers()
+    forked = _count_forks(monkeypatch)
+    assert dataclasses.asdict(simulate(SPLIT_SAMPLES)) == want[0]
+    old = _helper_pids()
+    assert dataclasses.asdict(simulate(2 * SPLIT_SAMPLES)) == want[1]
+    assert len(old) == 1 and len(forked) == 2
+    assert _helper_pids() == forked[1:]
+    with pytest.raises(ChildProcessError):      # reaped when retired
+        os.waitpid(old[0], os.WNOHANG)
+    _assert_only_helpers_left()
+
+
+def test_a_killed_helper_is_forked_again(monkeypatch):
+    simulate = SPLIT_SIMULATORS["staggered-circle"]
+    monkeypatch.setattr(metrics, "WORKERS", 1)
+    want = dataclasses.asdict(simulate(SPLIT_SAMPLES))
+    monkeypatch.setattr(metrics, "WORKERS", 2)
+    metrics.retire_helpers()
+    simulate(SPLIT_SAMPLES)
+    (killed,) = _helper_pids()
+    os.kill(killed, signal.SIGKILL)
+    # wait for it to end, but leave it for the engine to reap
+    os.waitid(os.P_PID, killed, os.WEXITED | os.WNOWAIT)
+    forked = _count_forks(monkeypatch)
+    assert dataclasses.asdict(simulate(SPLIT_SAMPLES)) == want
+    assert len(forked) == 1 and _helper_pids() == forked
+    _assert_only_helpers_left()
 
 
 def _fork_fails():
@@ -350,6 +424,7 @@ def test_a_run_without_children_runs_every_range_here(monkeypatch, no_child):
     want = dataclasses.asdict(simulate_pipeline(spec, SPLIT_SAMPLES,
                                                 SampleStreams(7)))
     monkeypatch.setattr(metrics, "WORKERS", 3)
+    metrics.retire_helpers()
     forked, done = [], threading.Event()
     thread = threading.Thread(target=done.wait)
     if no_child == "without-fork":
@@ -367,20 +442,97 @@ def test_a_run_without_children_runs_every_range_here(monkeypatch, no_child):
             thread.join(timeout=10)
     assert not thread.is_alive()
     assert dataclasses.asdict(got) == want
-    assert forked == []
-    _assert_no_child_left()
+    assert forked == [] and _helper_pids() == []
+    _assert_only_helpers_left()
+
+
+def _copy_step(u, out):
+    """A step over one uniform: its squared error, reconstruction and bin
+    are the uniform, itself and 0."""
+    out[0][...] = u
+    out[1][...] = 0
+    out[2][...] = u
+
+
+def _engine_rows(result):
+    dist, counts, recon = result
+    return dist.n, dist.mean, dist.m2, counts.tolist(), recon.tobytes()
+
+
+@pytest.mark.parametrize("case", ["step-does-not-pickle", "job-too-large"])
+def test_a_run_that_cannot_travel_runs_every_range_here(monkeypatch, case):
+    lock = threading.Lock()
+
+    def step(u, out):               # a local function does not pickle
+        with lock:
+            _copy_step(u, out)
+
+    if case == "job-too-large":
+        step = _copy_step
+        monkeypatch.setattr(metrics, "MAX_JOB_BYTES_PER_SAMPLE", 0)
+    rows = []
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(metrics, "WORKERS", workers)
+        metrics.retire_helpers()
+        forked = _count_forks(monkeypatch)
+        rows.append(_engine_rows(metrics.simulate_chunks(
+            SampleStreams(3), SPLIT_SAMPLES, (DOUBLES,), step, 1)))
+        assert forked == [] and _helper_pids() == []
+    assert rows == [rows[0]] * 3
+    _assert_only_helpers_left()
+
+
+def test_a_forked_child_keeps_its_parents_helpers_apart(monkeypatch):
+    # the child starts without helpers, forks its own for its split run
+    # and reports by its exit status; the parent's helper serves on
+    simulate = SPLIT_SIMULATORS["pipeline-n3"]
+    monkeypatch.setattr(metrics, "WORKERS", 1)
+    want = dataclasses.asdict(simulate(SPLIT_SAMPLES))
+    monkeypatch.setattr(metrics, "WORKERS", 2)
+    metrics.retire_helpers()
+    assert dataclasses.asdict(simulate(SPLIT_SAMPLES)) == want
+    parents = _helper_pids()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            fresh = metrics._pool is None
+            same = dataclasses.asdict(simulate(SPLIT_SAMPLES)) == want
+            own = _helper_pids()
+            metrics.retire_helpers()
+            code = 0 if fresh and same and len(own) == 1 \
+                and not set(own) & set(parents) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60      # a child that hangs is killed
+    while not (ended := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+        time.sleep(0.01)
+    assert ended[1] == 0
+    forked = _count_forks(monkeypatch)
+    assert dataclasses.asdict(simulate(SPLIT_SAMPLES)) == want
+    assert forked == [] and _helper_pids() == parents
+    _assert_only_helpers_left()
 
 
 # The aligned uniform spec on a grid so fine that the two faulty codes of
 # its paper table hold 7.5e-6 of the mass: seed 8 draws neither of them
-# in its first 256 blocks, range 0 of the split run at 2 workers.
+# in its first 256 blocks, range 0 of the split run at 2 workers.  Its
+# table of 2 x 10^5 codes makes a job of 12 MB, which a run splits only
+# past the job cap.
 RARE_FAULT = StaggeredSpec(UniformSource(0.0, 1.0), 1e-5, 2)
 RARE_SEED = 8
+
+
+def _split_large_jobs(monkeypatch):
+    monkeypatch.setattr(metrics, "MAX_JOB_BYTES_PER_SAMPLE", 1 << 30)
 
 
 def test_only_a_later_range_faults(monkeypatch, paper_tables):
     # the first fault lies past range 0 at 2 workers, which holds range 0
     # at 3, and each worker count names it
+    _split_large_jobs(monkeypatch)
     chunks = -(-math.ceil(SPLIT_SAMPLES / BLOCK) // metrics.CHUNK_BLOCKS)
     clean = chunks // 2 * metrics.CHUNK_BLOCKS * BLOCK
     simulate_pipeline(RARE_FAULT, clean, SampleStreams(RARE_SEED))
@@ -405,18 +557,41 @@ class _TaggedStreams(SampleStreams):
             yield k, size, rng
 
 
-def _faulting_step(faulty, exc_type):
-    """A step over one uniform that raises ``exc_type`` naming the first
-    block of ``faulty`` in its chunk."""
-    def step(u, out):
+@dataclasses.dataclass(frozen=True)
+class _FaultingStep:
+    """A step over one uniform that raises ``exc_type(message)`` naming
+    the first block of ``faulty`` in its chunk; it pickles, so it runs in
+    the helpers too."""
+
+    faulty: frozenset
+    exc_type: object
+
+    def __call__(self, u, out):
         blocks = _TaggedStreams.yielded[-math.ceil(u.size / BLOCK):]
-        hit = sorted(faulty.intersection(blocks))
+        hit = sorted(self.faulty.intersection(blocks))
         if hit:
-            raise exc_type(f"block {hit[0]}")
-        out[0][...] = u
-        out[1][...] = 0
-        out[2][...] = u
-    return step
+            raise self.exc_type(f"block {hit[0]}")
+        _copy_step(u, out)
+
+
+@dataclasses.dataclass(frozen=True)
+class _SplitStep:
+    """A step over one uniform that first calls ``here()`` in the process
+    ``caller`` and ``there()`` in any other, where given; it pickles."""
+
+    caller: int
+    here: object = None
+    there: object = None
+
+    def __call__(self, u, out):
+        act = self.here if os.getpid() == self.caller else self.there
+        if act is not None:
+            act()
+        _copy_step(u, out)
+
+
+def _raise(exc_type, message="only in a helper"):
+    raise exc_type(message)
 
 
 def _run_tagged(step):
@@ -429,12 +604,15 @@ def test_the_first_faulty_range_names_the_fault(monkeypatch):
     # blocks 200 and 400 lie in ranges 1 and 2 at 3 workers, so range 0
     # runs clean, and in ranges 0 and 1 at 2 workers; the one-range run
     # names block 200
-    step = _faulting_step({400, 200}, ValueError)
+    step = _FaultingStep(frozenset({400, 200}), ValueError)
     for workers in WORKER_COUNTS:
         monkeypatch.setattr(metrics, "WORKERS", workers)
+        metrics.retire_helpers()
+        forked = _count_forks(monkeypatch)
         with pytest.raises(ValueError, match="^block 200$"):
             _run_tagged(step)
-    _assert_no_child_left()
+        assert len(forked) == workers - 1
+    _assert_only_helpers_left()
 
 
 class _Unpicklable(Exception):
@@ -450,91 +628,93 @@ class _NeedsTwo(Exception):
         super().__init__(message)
 
 
+def _needs_two(message):
+    return _NeedsTwo(message, 0)
+
+
 @pytest.mark.parametrize("exc_type, raised", [
-    (_Unpicklable, _Unpicklable), (lambda m: _NeedsTwo(m, 0), _NeedsTwo)],
+    (_Unpicklable, _Unpicklable), (_needs_two, _NeedsTwo)],
     ids=["unpicklable", "unrebuildable"])
-def test_a_child_error_that_cannot_be_pickled_is_named(monkeypatch,
+def test_a_helper_range_error_is_raised_here_as_itself(monkeypatch,
                                                        exc_type, raised):
-    # the caller runs the faulty range again and raises its error itself
+    # a helper sends only its status; the caller runs the faulty range
+    # again and raises its error itself, whether or not it pickles
     monkeypatch.setattr(metrics, "WORKERS", 2)
-    step = _faulting_step({400}, exc_type)
+    metrics.retire_helpers()
+    step = _FaultingStep(frozenset({400}), exc_type)
     with pytest.raises(raised, match="^block 400$"):
         _run_tagged(step)
-    _assert_no_child_left()
+    assert len(_helper_pids()) == 1
+    _assert_only_helpers_left()
 
 
 def test_a_child_that_dies_before_it_reports_is_named(monkeypatch):
+    monkeypatch.setattr(metrics, "WORKERS", 1)
+    want = _engine_rows(_run_tagged(_copy_step))
     monkeypatch.setattr(metrics, "WORKERS", 2)
-    caller = os.getpid()
-
-    def step(u, out):
-        if os.getpid() != caller:
-            os._exit(3)
-        out[0][...] = u
-        out[1][...] = 0
-        out[2][...] = u
-
+    metrics.retire_helpers()
+    step = _SplitStep(os.getpid(), there=functools.partial(os._exit, 3))
     with pytest.raises(RuntimeError, match=f"^the worker of range 1 ended "
                                            f"with wait status {3 << 8}$"):
         _run_tagged(step)
-    _assert_no_child_left()
+    assert _helper_pids() == []
+    _assert_only_helpers_left()
+    # the next call forks a new helper
+    assert _engine_rows(_run_tagged(_copy_step)) == want
+    assert len(_helper_pids()) == 1
 
 
-@pytest.mark.parametrize("exc_type, status", [
-    (ValueError, metrics.RANGE_RAISED << 8), (SystemExit, 1 << 8)],
+@pytest.mark.parametrize("exc_type, message", [
+    (ValueError, "raised, and the range returns when run again here"),
+    (SystemExit, f"ended with wait status {1 << 8}")],
     ids=["raises", "exits"])
 def test_a_child_that_fails_only_there_is_named(monkeypatch, exc_type,
-                                                status):
-    # a range that raises in its child alone returns when run again here,
-    # and a SystemExit ends its child with another status
+                                                message):
+    # a range that raises in its helper alone returns when run again here,
+    # and a SystemExit ends its helper
     monkeypatch.setattr(metrics, "WORKERS", 2)
-    caller = os.getpid()
-
-    def step(u, out):
-        if os.getpid() != caller:
-            raise exc_type("only in the child")
-        out[0][...] = u
-        out[1][...] = 0
-        out[2][...] = u
-
-    with pytest.raises(RuntimeError, match=f"^the worker of range 1 ended "
-                                           f"with wait status {status}$"):
+    step = _SplitStep(os.getpid(), there=functools.partial(_raise, exc_type))
+    with pytest.raises(RuntimeError,
+                       match=f"^the worker of range 1 {message}$"):
         _run_tagged(step)
-    _assert_no_child_left()
+    _assert_only_helpers_left()
 
 
 def test_a_caller_that_raises_kills_its_children(monkeypatch):
-    # each of the child's chunks would sleep 5 s
+    # each of the helper's chunks would sleep 5 s
     monkeypatch.setattr(metrics, "WORKERS", 2)
-    caller = os.getpid()
-
-    def step(u, out):
-        if os.getpid() == caller:
-            raise KeyboardInterrupt
-        time.sleep(5)
-
+    metrics.retire_helpers()
+    forked = _count_forks(monkeypatch)
+    step = _SplitStep(os.getpid(),
+                      here=functools.partial(_raise, KeyboardInterrupt),
+                      there=functools.partial(time.sleep, 5))
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         _run_tagged(step)
     assert time.monotonic() - started < 2.0
-    _assert_no_child_left()
+    assert len(forked) == 1 and _helper_pids() == []
+    with pytest.raises(ChildProcessError):      # killed and reaped
+        os.waitpid(forked[0], os.WNOHANG)
+    _assert_only_helpers_left()
 
 
 @pytest.mark.parametrize("case", ["returns", "parent-range-raises",
                                   "child-range-raises"])
 def test_no_child_outlives_a_call(monkeypatch, request, case):
     monkeypatch.setattr(metrics, "WORKERS", 2)
+    metrics.retire_helpers()
     forked = _count_forks(monkeypatch)
     if case == "returns":
         simulate_pipeline(PIPELINE_SPECS[3], SPLIT_SAMPLES, SampleStreams(1))
     else:
         request.getfixturevalue("paper_tables")
+        _split_large_jobs(monkeypatch)
         spec, seed = ((ALIGNED_N2, 0) if case == "parent-range-raises"
                       else (RARE_FAULT, RARE_SEED))
         with pytest.raises(InactiveCodeError):
             simulate_pipeline(spec, SPLIT_SAMPLES, SampleStreams(seed))
-    assert len(forked) == 1
-    _assert_no_child_left()
+    assert len(forked) == 1 and _helper_pids() == forked
+    _assert_only_helpers_left()
 
 
 def test_runs_share_no_scratch():

@@ -88,6 +88,15 @@ def test_plugin_entropy_keeps_the_formula_bits(seed, kind):
     assert counts.tolist() == kept.tolist()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_plugin_entropy_refuses_counts_that_are_not_finite(bad):
+    # a NaN or infinite count made 0.0 bits, with a numpy warning
+    with pytest.raises(ValueError, match="finite counts"):
+        plugin_entropy([bad, 1.0])
+    with pytest.raises(ValueError, match="finite counts"):
+        avg_conditional_entropy([[1, 1], [bad, 1.0]])
+
+
 def test_avg_conditional_entropy():
     assert avg_conditional_entropy([[2, 2]]) == pytest.approx(1.0)
     groups = [[1, 3], [1, 3]]

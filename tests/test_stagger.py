@@ -345,7 +345,7 @@ PAPER_FINDINGS = [(StaggeredSpec(GAUSS, 0.5, 2), 0.194438, 0.0290),
                   (aligned_spec(2), 0.25, 0.25)]
 
 
-def test_literal_indexing_is_a_shift_and_breaks_mass_identity():
+def test_paper_table_is_a_shift_and_breaks_mass_identity():
     for spec, _, mass_error in PAPER_FINDINGS:
         default, paper = build_boundaries(spec), paper_table(spec)
         # the paper's a(j) is the default a(j - N) wherever both are interior
@@ -361,7 +361,7 @@ def test_literal_indexing_is_a_shift_and_breaks_mass_identity():
         assert default.mass_identity_error() < 1e-12
 
 
-def test_literal_indexing_has_an_exact_ks_gap():
+def test_paper_table_has_an_exact_ks_gap():
     # the default table's decoder reproduces the source law to within the
     # sub-threshold tail mass; the paper's misses it by a fixed gap
     for spec, ks_gap, _ in PAPER_FINDINGS:
@@ -370,7 +370,7 @@ def test_literal_indexing_has_an_exact_ks_gap():
         assert exact_ks_gap(build_boundaries(spec)) < 2e-12
 
 
-def test_literal_indexing_breaks_perception(monkeypatch):
+def test_paper_table_breaks_perception(monkeypatch):
     # the Monte Carlo route meets the exact gap of the paper's table
     spec, ks_gap, _ = PAPER_FINDINGS[0]
     good = simulate_pipeline(spec, 100_000, SampleStreams(6))
@@ -395,7 +395,7 @@ def test_decode_stays_in_interval_and_rejects_inactive():
         encode(spec, 0.0, 5)
 
 
-def test_literal_mode_edge_code_is_degenerate():
+def test_paper_table_edge_code_is_degenerate():
     # the first code of the paper's aligned table is active but its
     # interval holds no source mass; the decoder refuses it rather than
     # drawing from an empty truncation
@@ -407,7 +407,7 @@ def test_literal_mode_edge_code_is_degenerate():
         decode(table, np.array([table.j_first]), rng.random(1))
 
 
-def test_literal_mode_exact_rejects_an_empty_interval(paper_tables):
+def test_paper_table_exact_rejects_an_empty_interval(paper_tables):
     # the paper's aligned table starts with codes whose intervals are
     # empty; the exact route refuses the first one, as the decoder does,
     # rather than summing the distortion over the rest of the mass
