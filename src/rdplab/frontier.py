@@ -85,10 +85,6 @@ class VonMisesLikeLaw:
         circle, without subtracting the two entropies."""
         return self._s / (1.0 + self._q) - np.log1p(self._q)
 
-    def entropy_nats(self):
-        """Differential entropy h(Z), ln(2*pi) minus the divergence."""
-        return math.log(math.tau) - self.divergence_nats()
-
     def pdf(self, z):
         return ((np.abs(z) <= math.pi) * np.exp(self.lam * (np.cos(z) - 1.0))
                 / (math.tau * (1.0 + self._q)))

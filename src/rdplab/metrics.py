@@ -9,15 +9,16 @@ per chunk of CHUNK_BLOCKS blocks the matrix's columns become uniforms and
 offsets, and the simulator's one step runs on them: its affine maps, its
 arithmetic and its guards, in place in arrays the engine allocates once
 per block range; then each block's moments and the bin counts.  A run of
-at least PARALLEL_MIN_BLOCKS blocks is split into WORKERS block ranges,
-each after the first run by a helper process.  A process forks its
-helpers at its first split run and keeps them for every later one; they
-share with it one anonymous ``mmap`` arena, made before they fork.  Each
-helper gets its range as a pickled job and answers with one status byte.
-Every range writes its reconstructions, its count row and its blocks'
-moments into the run's arrays, in the arena when the run is split, and
-the caller combines the block moments in block order, so no chunk length
-or worker count changes a result.  The caller runs again the first range
+at least two full chunks is split into up to WORKERS block ranges, each
+after the first run by a helper process.  A process forks its helpers at
+its first split run and keeps them for every later one; they share with
+it one anonymous ``mmap`` arena, made before they fork.  Each helper gets
+its range as a pickled job, whose arrays (a boundary table) the caller
+has copied into the arena, and answers with one status byte.  Every
+range writes its reconstructions, its count row and its blocks' moments
+into the run's arrays, in the arena when the run is split, and the
+caller combines the block moments in block order, so no chunk length or
+worker count changes a result.  The caller runs again the first range
 whose helper reports that it raised, to raise its error itself.
 """
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import atexit
 import functools
-import io
 import math
 import mmap
 import os
@@ -53,35 +53,19 @@ from .rng import BLOCK
 # with 32 (faster in 32 of 60 cycles on each).
 CHUNK_BLOCKS = 32
 
-# Processes a Monte Carlo run of at least PARALLEL_MIN_BLOCKS blocks is
-# split over: the cores this process may run on.
+# Processes a Monte Carlo run of at least two full chunks is split over:
+# the cores this process may run on.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else 1
-
-# The fewest blocks whose run pays for splitting.  Measured when each
-# split call forked a child of its own, which with its page faults and its
-# reaping cost about 10 ms on the 2-core box.  Medians of 21 alternating
-# calls at 1 and 2 workers: 256 blocks ran 1.16x (Gaussian pipeline),
-# 0.77x (uniform pipeline) and 0.87x (dithered circle); 384 blocks 1.11x,
-# 1.01x and 1.08x; 512 blocks 1.38x, 1.11x and 1.22x; 1024 blocks 1.46x,
-# 1.24x and 1.30x.
-PARALLEL_MIN_BLOCKS = 512
 
 # The status byte of a helper whose range raised an Exception; the caller
 # then runs that range again to raise it.  A helper whose range returned
 # writes 0.
 RANGE_RAISED = 2
 
-# Pickled bytes of a run's job per sample beyond which the run is not
-# split: the job is sent whole to each helper, which unpickles it before
-# its range starts.  On the 2-core box a 2^20-sample uniform pipeline ran
-# 1.65x faster at 2 workers with a 0.6 MB job (a 10^4-code table), 1.38x
-# at 2.4 MB, 0.95x at 4.9 MB and 0.83x at 20 MB.
-MAX_JOB_BYTES_PER_SAMPLE = 2
-
 # The arena grows in steps of this many bytes, so that runs of one sample
-# count with different bin counts share it.  Pages that no run writes
-# take no memory.
+# count with different bin counts or tables share it.  Pages that no run
+# writes take no memory.
 ARENA_GRAIN = 1 << 20
 
 # Sorted values per KS window, the unit in which the KS statistic skips
@@ -171,18 +155,20 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
                     work: int = 0):
     """Run one Monte Carlo simulation over the sample blocks of ``streams``.
 
-    A run of at least PARALLEL_MIN_BLOCKS blocks is split into up to
-    WORKERS contiguous block ranges, each starting on a CHUNK_BLOCKS
-    boundary, so every range runs the chunks one range would run.  Range 0
-    runs in the calling process and each other range in a helper process
-    this process keeps across calls (see :func:`_run_split`).  The streams,
-    draws and step travel to the helpers pickled, so a step that must
-    split is a module-level function, or one bound with
-    ``functools.partial``.  A shorter run, one on a machine with one core
-    or without ``os.fork``, one from a process that runs other threads,
-    and one whose step or draws do not pickle, or pickle to more than
-    MAX_JOB_BYTES_PER_SAMPLE bytes per sample (a large boundary table), is
-    one range run in the calling process.
+    A run of at least two full chunks (2 * CHUNK_BLOCKS blocks) is split
+    into up to WORKERS contiguous block ranges, no more than it has full
+    chunks, each starting on a CHUNK_BLOCKS boundary, so every range runs
+    the chunks one range would run.  Range 0 runs in the calling process
+    and each other range in a helper process this process keeps across
+    calls (see :func:`_run_split`).  The streams, draws and step travel to
+    the helpers pickled, so a step that must split is a module-level
+    function, or one bound with ``functools.partial``.  Their contiguous
+    arrays, a boundary table's, travel out of band (PEP 574): the caller
+    copies them into the arena after the run's arrays, once per call, and
+    the helpers load them from there.  A shorter run, one on a machine
+    with one core or without ``os.fork``, one from a process that runs
+    other threads, and one whose step or draws do not pickle, is one range
+    run in the calling process.
 
     Every range, wherever it runs, writes into the run's arrays (see
     :func:`_run_arrays`): its samples' reconstructions, its row of a
@@ -228,18 +214,19 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
     chunks = -(-blocks // CHUNK_BLOCKS)
     parts, job, pool = 1, None, None
     # a helper forked beside other threads may need a lock one of them held
-    if (blocks >= PARALLEL_MIN_BLOCKS and hasattr(os, "fork")
-            and threading.active_count() == 1):
-        parts = min(WORKERS, chunks)
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        parts = max(1, min(WORKERS, blocks // CHUNK_BLOCKS))
     run = (streams, samples, draws, step, work, CHUNK_BLOCKS)
     if parts > 1:
         job = _pickled(run + (n_bins, parts),
-                       MAX_JOB_BYTES_PER_SAMPLE * samples)
+                       8 * (samples + parts * n_bins + 2 * blocks))
     if job is None:
         parts = 1
     else:
-        pool = _pool_for(parts - 1,
-                         8 * (samples + parts * n_bins + 2 * blocks))
+        stream, buffers, spans, size = job
+        pool = _pool_for(parts - 1, size)
+        for buf, (at, nbytes) in zip(buffers, spans):
+            pool.arena[at:at + nbytes] = buf.raw()
     recon, counts, moments = _run_arrays(samples, parts, n_bins,
                                          None if pool is None else pool.arena)
     counts[...] = 0                     # the ranges write everything else
@@ -251,7 +238,7 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
     if pool is None:
         ranges[0]()
     else:
-        _run_split(pool, ranges, edges, job)
+        _run_split(pool, ranges, edges, stream, spans)
     dist = RunningMoments()
     for k, (mean, m2) in enumerate(zip(*moments.tolist())):
         dist._combine(min(BLOCK, samples - k * BLOCK), mean, m2)
@@ -259,28 +246,21 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
     return dist, counts[0] if pool is None else counts.sum(axis=0), recon
 
 
-def _pickled(run, cap: int):
-    """``run`` pickled, or None if it does not pickle or its pickle would
-    pass ``cap`` bytes (pickling stops there)."""
-    out = _CappedBuffer(cap)
+def _pickled(job, at: int):
+    """``job`` pickled with its contiguous arrays out of band (PEP 574), or
+    None if it does not pickle: the pickle stream, the arrays' buffers,
+    their (offset, nbytes) spans in the arena, laid 8-byte aligned from
+    byte ``at`` on, and the byte where the last span ends."""
+    buffers, spans = [], []
     try:
-        pickle.Pickler(out, pickle.HIGHEST_PROTOCOL).dump(run)
+        stream = pickle.dumps(job, 5, buffer_callback=buffers.append)
     except (pickle.PicklingError, TypeError, AttributeError):
         return None
-    return out.getvalue()
-
-
-class _CappedBuffer(io.BytesIO):
-    """A bytes buffer that refuses a write past ``cap`` bytes."""
-
-    def __init__(self, cap: int):
-        super().__init__()
-        self.cap = cap
-
-    def write(self, data) -> int:
-        if self.tell() + memoryview(data).nbytes > self.cap:
-            raise pickle.PicklingError(f"a job of more than {self.cap} bytes")
-        return super().write(data)
+    for buf in buffers:
+        nbytes = buf.raw().nbytes
+        spans.append((at, nbytes))
+        at += -(-nbytes // 8) * 8
+    return stream, buffers, spans, at
 
 
 def _run_arrays(samples: int, parts: int, n_bins: int, arena=None):
@@ -367,15 +347,17 @@ def _block_moments(values, means, m2s) -> None:
             np.square(rows, out=rows).sum(axis=1, out=m2s[at])
 
 
-def _run_split(pool, ranges, edges, job) -> None:
+def _run_split(pool, ranges, edges, stream, spans) -> None:
     """Run every range of ``ranges`` (blocks ``edges[i]`` ..
-    ``edges[i + 1]`` - 1 of the run pickled in ``job``), the first in this
+    ``edges[i + 1]`` - 1 of the run pickled in ``stream``, whose
+    out-of-band arrays lie at ``spans`` in the arena), the first in this
     process and each other one in a helper of ``pool``.
 
-    A helper gets the job and its range's index and blocks, pickled,
-    writes its results into the arena and reports by one status byte (see
-    :func:`_serve`).  A range that gets no helper (none could be forked,
-    or its job could not be written) runs here, after the first.  This
+    A helper gets its range's index and blocks and the spans, pickled, then
+    the stream, writes its results into the arena and reports by one
+    status byte (see :func:`_serve`).  A range that gets no helper (none
+    could be forked, or its job could not be written) runs here, after
+    the first.  This
     process reads the status of every helper it sent a job before it
     returns or raises, so no helper writes into the arena after the call;
     when it raises itself, it kills its busy helpers instead.  Then it
@@ -389,8 +371,8 @@ def _run_split(pool, ranges, edges, job) -> None:
     errors, rerun, busy = [None] * len(ranges), set(), {}
     try:
         for i, helper in enumerate(pool.helpers[:len(ranges) - 1], 1):
-            if pool.send(helper, job + pickle.dumps((i, edges[i],
-                                                     edges[i + 1]))):
+            if pool.send(helper, pickle.dumps((i, edges[i], edges[i + 1],
+                                               spans)) + stream):
                 busy[i] = helper
         for i, run in enumerate(ranges):
             if i not in busy:
@@ -436,8 +418,9 @@ class _Pool:
 
     The arena, an anonymous shared ``mmap``, is made before the first
     helper forks, so every helper maps the same pages.  It is never made
-    smaller: it keeps the largest split run's arrays, and a pool whose
-    arena is too small for a run is retired for a larger one.
+    smaller: it keeps the largest split run's arrays and the largest table
+    sent, and a pool whose arena is too small for a run is retired for a
+    larger one.
     """
 
     def __init__(self, size: int):
@@ -545,24 +528,26 @@ if hasattr(os, "register_at_fork"):
 
 def _serve(jobs: int, status: int, arena, inherited) -> None:
     """A helper's life: close the ``inherited`` pipe ends, then for each
-    job on the ``jobs`` pipe (the pickled run, then its range's index and
-    first and last-plus-one block) run the range into its arrays in
-    ``arena`` and write its status byte to ``status``: 0 once the range
-    returns, RANGE_RAISED once it raised an Exception.  Leaves by
+    job on the ``jobs`` pipe (its range's index, first and last-plus-one
+    block and the arena spans of the run's arrays, then the pickled run)
+    run the range into its arrays in ``arena`` and write its status byte to
+    ``status``: 0 once the range returns, RANGE_RAISED once it raised an
+    Exception.  The run's arrays are views of the arena.  Leaves by
     ``os._exit``: with status 0 when the job pipe reaches end of file, and
     1 if anything else escapes, a job that does not load included."""
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
-        jobs = open(jobs, "rb")
+        jobs, view = open(jobs, "rb"), memoryview(arena)
         while True:
             try:
-                *run, n_bins, parts = pickle.load(jobs)
+                i, start, stop, spans = pickle.load(jobs)
             except EOFError:
                 code = 0
                 break
-            i, start, stop = pickle.load(jobs)
+            *run, n_bins, parts = pickle.load(jobs, buffers=[
+                view[at:at + nbytes] for at, nbytes in spans])
             recon, counts, moments = _run_arrays(run[1], parts, n_bins,
                                                  arena)
             error = _error(functools.partial(
@@ -575,9 +560,13 @@ def _serve(jobs: int, status: int, arena, inherited) -> None:
 def entropy_bits(probs) -> float:
     """Entropy -sum p log2 p of a probability vector, in bits.
 
-    Zero entries contribute nothing.
+    Zero entries contribute nothing; a negative or non-finite entry raises
+    ValueError.
     """
     probs = np.asarray(probs, dtype=float)
+    if not np.all(np.isfinite(probs) & (probs >= 0)):
+        raise ValueError("entropy_bits needs finite, non-negative "
+                         "probabilities")
     return _entropy_of_positive(probs[probs > 0])
 
 

@@ -88,6 +88,14 @@ def test_plugin_entropy_keeps_the_formula_bits(seed, kind):
     assert counts.tolist() == kept.tolist()
 
 
+@pytest.mark.parametrize("probs", [[math.nan, 1.0], [math.inf, 1.0],
+                                   [-0.5, 1.5]],
+                         ids=["nan", "inf", "negative"])
+def test_entropy_bits_refuses_bad_probabilities(probs):
+    with pytest.raises(ValueError, match="finite, non-negative"):
+        entropy_bits(probs)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_plugin_entropy_refuses_counts_that_are_not_finite(bad):
     # a NaN or infinite count made 0.0 bits, with a numpy warning
@@ -207,8 +215,8 @@ def test_differential_entropy_uniforms():
                                 epsabs=1e-12)
     assert h == pytest.approx(0.0, abs=1e-9)
     # the exponential-cosine law flattens to the circle uniform as lam -> 0
-    assert VonMisesLikeLaw(1e-8).entropy_nats() == pytest.approx(
-        math.log(2 * math.pi), abs=1e-9)
+    h = math.log(math.tau) - VonMisesLikeLaw(1e-8).divergence_nats()
+    assert h == pytest.approx(math.log(2 * math.pi), abs=1e-9)
 
 
 def test_differential_entropy_exponential_cosine_law():
@@ -216,14 +224,16 @@ def test_differential_entropy_exponential_cosine_law():
     lam = 2.0
     i0, i1 = scipy.special.i0(lam), scipy.special.i1(lam)
     oracle = math.log(2 * math.pi * i0) - lam * i1 / i0
-    assert VonMisesLikeLaw(lam).entropy_nats() == pytest.approx(oracle, abs=1e-8)
+    h = math.log(math.tau) - VonMisesLikeLaw(lam).divergence_nats()
+    assert h == pytest.approx(oracle, abs=1e-8)
     assert oracle == pytest.approx(1.2663213, abs=1e-6)
     # second route to h(Z) = ln C - lam*E[cos Z]: -integral p ln p of the pdf
     for lam in (0.01, 1.0, 2.0, 10.0, 100.0):
         law = VonMisesLikeLaw(lam)
         h, _ = scipy.integrate.quad(neg_p_log_p(law.pdf), -math.pi, math.pi,
                                     epsabs=1e-12, limit=400)
-        assert law.entropy_nats() == pytest.approx(h, abs=1e-9), lam
+        assert math.log(math.tau) - law.divergence_nats() == pytest.approx(
+            h, abs=1e-9), lam
 
 
 def test_experiment_result_validation():
