@@ -9,16 +9,16 @@ per chunk of CHUNK_BLOCKS blocks the matrix's columns become uniforms and
 offsets, and the simulator's one step runs on them: its affine maps, its
 arithmetic and its guards, in place in arrays the engine allocates once
 per block range; then each block's moments and the bin counts.  A run of
-at least two full chunks is split into up to WORKERS block ranges, each
-after the first run by a helper process.  A process forks its helpers at
-its first split run and keeps them for every later one; they share with
-it one anonymous ``mmap`` arena, made before they fork.  Each helper gets
-its range as a pickled job, whose arrays (a boundary table) the caller
-has copied into the arena, and answers with one status byte.  Every
-range writes its reconstructions, its count row and its blocks' moments
-into the run's arrays, in the arena when the run is split, and the
-caller combines the block moments in block order, so no chunk length or
-worker count changes a result.  The caller runs again the first range
+at least PARALLEL_MIN_BLOCKS blocks is split into WORKERS block ranges,
+each after the first run by a helper process.  A process forks its
+helpers at its first split run and keeps them for every later one; they
+share with it one anonymous ``mmap`` arena, made before they fork.  Each
+helper gets its range as a pickled job, whose arrays (a boundary table)
+the caller has copied into the arena, and answers with one status byte.
+Every range writes its reconstructions, its count row and its blocks'
+moments into the run's arrays, in the arena when the run is split, and
+the caller combines the block moments in block order, so no chunk length
+or worker count changes a result.  The caller runs again the first range
 whose helper reports that it raised, to raise its error itself.
 """
 
@@ -53,15 +53,36 @@ from .rng import BLOCK
 # with 32 (faster in 32 of 60 cycles on each).
 CHUNK_BLOCKS = 32
 
-# Processes a Monte Carlo run of at least two full chunks is split over:
-# the cores this process may run on.
+# Processes a Monte Carlo run of at least PARALLEL_MIN_BLOCKS blocks is
+# split over: the cores this process may run on.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else 1
+
+# The fewest blocks whose run pays for splitting in a process that has no
+# helpers yet: the call forks them, and the process reaps them at exit.
+# Fresh processes making one call (then retire_helpers), 2 workers against
+# 1, medians of 8 alternating processes per size on the 2-core box, for
+# the staggered and dithered circles and the Gaussian and uniform
+# pipelines: 64 and 98 blocks ran 0.45-0.80x, 256 blocks 0.71-1.00x, 384
+# blocks 0.79-1.03x, 512 blocks 0.83-0.94x (circles) and 1.01-1.10x
+# (pipelines), 768 blocks 0.84-1.23x.  Later calls, with the helpers
+# running, ran 0.90-1.10x at 64 blocks and 1.06-1.66x at 512.
+PARALLEL_MIN_BLOCKS = 512
 
 # The status byte of a helper whose range raised an Exception; the caller
 # then runs that range again to raise it.  A helper whose range returned
 # writes 0.
 RANGE_RAISED = 2
+
+# Bytes of a run's job per sample, its boundary table included, beyond
+# which the run is not split.  The table of a split run lies twice in the
+# caller, on the heap and in the arena, which keeps the largest one sent,
+# and each helper adds a count row.  On the 2-core box a 2^20-sample
+# uniform pipeline ran 1.15-1.31x faster at 2 workers with tables of 10^5
+# to 4 x 10^5 codes (6 to 24 bytes per sample), but its peak RSS rose
+# from 71 to 81 MB and from 93 to 131 MB; with 909,092 codes it ran 1.07x
+# faster and rose from 140 to 217 MB.
+MAX_JOB_BYTES_PER_SAMPLE = 2
 
 # The arena grows in steps of this many bytes, so that runs of one sample
 # count with different bin counts or tables share it.  Pages that no run
@@ -155,20 +176,21 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
                     work: int = 0):
     """Run one Monte Carlo simulation over the sample blocks of ``streams``.
 
-    A run of at least two full chunks (2 * CHUNK_BLOCKS blocks) is split
-    into up to WORKERS contiguous block ranges, no more than it has full
-    chunks, each starting on a CHUNK_BLOCKS boundary, so every range runs
-    the chunks one range would run.  Range 0 runs in the calling process
-    and each other range in a helper process this process keeps across
-    calls (see :func:`_run_split`).  The streams, draws and step travel to
-    the helpers pickled, so a step that must split is a module-level
-    function, or one bound with ``functools.partial``.  Their contiguous
-    arrays, a boundary table's, travel out of band (PEP 574): the caller
-    copies them into the arena after the run's arrays, once per call, and
-    the helpers load them from there.  A shorter run, one on a machine
-    with one core or without ``os.fork``, one from a process that runs
-    other threads, and one whose step or draws do not pickle, is one range
-    run in the calling process.
+    A run of at least PARALLEL_MIN_BLOCKS blocks is split into up to
+    WORKERS contiguous block ranges, each starting on a CHUNK_BLOCKS
+    boundary, so every range runs the chunks one range would run.  Range
+    0 runs in the calling process and each other range in a helper
+    process this process keeps across calls (see :func:`_run_split`).
+    The streams, draws and step travel to the helpers pickled, so a step
+    that must split is a module-level function, or one bound with
+    ``functools.partial``.  Their contiguous arrays, a boundary table's,
+    travel out of band (PEP 574): the caller copies them into the arena
+    after the run's arrays, once per call, and the helpers load them from
+    there.  A shorter run, one on a machine with one core or without
+    ``os.fork``, one from a process that runs other threads, and one
+    whose step or draws do not pickle, or pickle to more than
+    MAX_JOB_BYTES_PER_SAMPLE bytes per sample in all (a large boundary
+    table), is one range run in the calling process.
 
     Every range, wherever it runs, writes into the run's arrays (see
     :func:`_run_arrays`): its samples' reconstructions, its row of a
@@ -214,12 +236,14 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
     chunks = -(-blocks // CHUNK_BLOCKS)
     parts, job, pool = 1, None, None
     # a helper forked beside other threads may need a lock one of them held
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        parts = max(1, min(WORKERS, blocks // CHUNK_BLOCKS))
+    if (blocks >= PARALLEL_MIN_BLOCKS and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        parts = min(WORKERS, chunks)
     run = (streams, samples, draws, step, work, CHUNK_BLOCKS)
     if parts > 1:
         job = _pickled(run + (n_bins, parts),
-                       8 * (samples + parts * n_bins + 2 * blocks))
+                       _run_layout(samples, parts, n_bins)[1],
+                       MAX_JOB_BYTES_PER_SAMPLE * samples)
     if job is None:
         parts = 1
     else:
@@ -246,38 +270,49 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
     return dist, counts[0] if pool is None else counts.sum(axis=0), recon
 
 
-def _pickled(job, at: int):
+def _pickled(job, at: int, cap: int):
     """``job`` pickled with its contiguous arrays out of band (PEP 574), or
-    None if it does not pickle: the pickle stream, the arrays' buffers,
-    their (offset, nbytes) spans in the arena, laid 8-byte aligned from
-    byte ``at`` on, and the byte where the last span ends."""
+    None if it does not pickle or its stream and arrays come to more than
+    ``cap`` bytes: the pickle stream, the arrays' buffers, their (offset,
+    nbytes) spans in the arena, laid 8-byte aligned from byte ``at`` on,
+    and the byte where the last span ends."""
     buffers, spans = [], []
     try:
         stream = pickle.dumps(job, 5, buffer_callback=buffers.append)
     except (pickle.PicklingError, TypeError, AttributeError):
         return None
-    for buf in buffers:
-        nbytes = buf.raw().nbytes
+    sizes = [buf.raw().nbytes for buf in buffers]
+    if len(stream) + sum(sizes) > cap:
+        return None
+    for nbytes in sizes:
         spans.append((at, nbytes))
         at += -(-nbytes // 8) * 8
     return stream, buffers, spans, at
 
 
+def _run_layout(samples: int, parts: int, n_bins: int):
+    """The (shape, dtype, offset) of each of a run's arrays, the
+    reconstructions, the (parts x n_bins) counts and the (2 x blocks)
+    block means and m2, laid one after another from byte 0 of the arena,
+    and the byte where the last one ends."""
+    layout, at = [], 0
+    for shape, dtype in (((samples,), np.float64),
+                         ((parts, n_bins), np.int64),
+                         ((2, -(-samples // BLOCK)), np.float64)):
+        layout.append((shape, dtype, at))
+        at += np.dtype(dtype).itemsize * math.prod(shape)
+    return layout, at
+
+
 def _run_arrays(samples: int, parts: int, n_bins: int, arena=None):
-    """The reconstructions, the (parts x n_bins) counts and the
-    (2 x blocks) block means and m2 of a run: zeroed arrays on the heap,
-    or views laid one after another from the start of ``arena``, which
-    hold what the arena's last run left."""
-    layout = (((samples,), float), ((parts, n_bins), np.int64),
-              ((2, -(-samples // BLOCK)), float))
+    """A run's arrays (see :func:`_run_layout`): zeroed arrays on the
+    heap, or views of ``arena``, which hold what the arena's last run
+    left."""
+    layout, _ = _run_layout(samples, parts, n_bins)
     if arena is None:
-        return [np.zeros(shape, dtype) for shape, dtype in layout]
-    arrays, at = [], 0
-    for shape, dtype in layout:
-        size = math.prod(shape)
-        arrays.append(np.frombuffer(arena, dtype, size, at).reshape(shape))
-        at += 8 * size
-    return arrays
+        return [np.zeros(shape, dtype) for shape, dtype, _ in layout]
+    return [np.frombuffer(arena, dtype, math.prod(shape), at).reshape(shape)
+            for shape, dtype, at in layout]
 
 
 def _run_range(streams, samples, draws, step, work, chunk_blocks, start,

@@ -236,9 +236,7 @@ def _chunk_lengths():
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("name", SIMULATORS)
 def test_chunk_length_changes_no_result(monkeypatch, name, samples):
-    # one substream per block, each built once, whatever the chunk length;
-    # in one range, since a helper's blocks are not counted here
-    monkeypatch.setattr(metrics, "WORKERS", 1)
+    # one substream per block, each built once, whatever the chunk length
     original = SampleStreams.block
     results = []
     for chunk_blocks in _chunk_lengths():
@@ -280,9 +278,9 @@ def test_chunk_length_keeps_undrawn_offsets(monkeypatch, name):
         assert dataclasses.asdict(simulate(samples)) == want
 
 
-# A run of at least two full chunks splits over the workers; this one, of
-# 517 blocks, has a short last chunk that ends in a short block
-SPLIT_SAMPLES = 516 * BLOCK + 517
+# A run of at least PARALLEL_MIN_BLOCKS blocks splits over the workers;
+# this one has a short last chunk that ends in a short block
+SPLIT_SAMPLES = (metrics.PARALLEL_MIN_BLOCKS + 4) * BLOCK + 517
 WORKER_COUNTS = (1, 2, 3)
 
 
@@ -338,16 +336,11 @@ def test_chunk_length_changes_no_decoder_error(monkeypatch, paper_tables,
     assert messages == [messages[0]] * len(messages)
 
 
-# the three simulators, the pipeline with an offset count that calls
-# ``integers`` per block, as the Gaussian one calls ``standard_normal``,
-# and one whose table of 10^5 codes (6.4 MB pickled) reaches the helpers
-# through the arena
+# the three simulators, and the pipeline with an offset count that calls
+# ``integers`` per block, as the Gaussian one calls ``standard_normal``
 SPLIT_SIMULATORS = dict(SIMULATORS, **{
     "pipeline-n3": lambda n: simulate_pipeline(PIPELINE_SPECS[2], n,
-                                               SampleStreams(31)),
-    "pipeline-fine-table": lambda n: simulate_pipeline(
-        StaggeredSpec(UniformSource(0.0, 1.0), 2e-5, 2), n,
-        SampleStreams(31))})
+                                               SampleStreams(31))})
 
 
 @pytest.mark.parametrize("name", SPLIT_SIMULATORS)
@@ -364,23 +357,6 @@ def test_worker_count_changes_no_result(monkeypatch, name):
             SPLIT_SIMULATORS[name](SPLIT_SAMPLES)))
         assert len(forked) == workers - 1
     assert results == [results[0]] * 3
-    _assert_only_helpers_left()
-
-
-def test_a_run_splits_once_it_holds_two_full_chunks(monkeypatch):
-    # 40 blocks hold one full chunk and run here; 64 blocks split in two
-    simulate = SPLIT_SIMULATORS["pipeline"]
-    sizes = [blocks * BLOCK for blocks in (metrics.CHUNK_BLOCKS + 8,
-                                           2 * metrics.CHUNK_BLOCKS)]
-    monkeypatch.setattr(metrics, "WORKERS", 1)
-    want = [dataclasses.asdict(simulate(n)) for n in sizes]
-    monkeypatch.setattr(metrics, "WORKERS", 2)
-    metrics.retire_helpers()
-    forked = _count_forks(monkeypatch)
-    assert dataclasses.asdict(simulate(sizes[0])) == want[0]
-    assert forked == []
-    assert dataclasses.asdict(simulate(sizes[1])) == want[1]
-    assert len(forked) == 1 and _helper_pids() == forked
     _assert_only_helpers_left()
 
 
@@ -483,14 +459,17 @@ def _engine_rows(result):
     return dist.n, dist.mean, dist.m2, counts.tolist(), recon.tobytes()
 
 
-def test_a_run_whose_step_does_not_pickle_runs_every_range_here(
-        monkeypatch):
+@pytest.mark.parametrize("case", ["step-does-not-pickle", "job-too-large"])
+def test_a_run_that_cannot_travel_runs_every_range_here(monkeypatch, case):
     lock = threading.Lock()
 
     def step(u, out):               # a local function does not pickle
         with lock:
             _copy_step(u, out)
 
+    if case == "job-too-large":
+        step = _copy_step
+        monkeypatch.setattr(metrics, "MAX_JOB_BYTES_PER_SAMPLE", 0)
     rows = []
     for workers in WORKER_COUNTS:
         monkeypatch.setattr(metrics, "WORKERS", workers)
@@ -540,14 +519,20 @@ def test_a_forked_child_keeps_its_parents_helpers_apart(monkeypatch):
 # The aligned uniform spec on a grid so fine that the two faulty codes of
 # its paper table hold 7.5e-6 of the mass: seed 8 draws neither of them
 # in its first 256 blocks, range 0 of the split run at 2 workers.  Its
-# table of 2 x 10^5 codes travels to the helpers through the arena.
+# table of 2 x 10^5 codes makes a job of 12 MB, which a run splits only
+# past the job cap.
 RARE_FAULT = StaggeredSpec(UniformSource(0.0, 1.0), 1e-5, 2)
 RARE_SEED = 8
+
+
+def _split_large_jobs(monkeypatch):
+    monkeypatch.setattr(metrics, "MAX_JOB_BYTES_PER_SAMPLE", 1 << 30)
 
 
 def test_only_a_later_range_faults(monkeypatch, paper_tables):
     # the first fault lies past range 0 at 2 workers, which holds range 0
     # at 3, and each worker count names it
+    _split_large_jobs(monkeypatch)
     chunks = -(-math.ceil(SPLIT_SAMPLES / BLOCK) // metrics.CHUNK_BLOCKS)
     clean = chunks // 2 * metrics.CHUNK_BLOCKS * BLOCK
     simulate_pipeline(RARE_FAULT, clean, SampleStreams(RARE_SEED))
@@ -723,6 +708,7 @@ def test_no_child_outlives_a_call(monkeypatch, request, case):
         simulate_pipeline(PIPELINE_SPECS[3], SPLIT_SAMPLES, SampleStreams(1))
     else:
         request.getfixturevalue("paper_tables")
+        _split_large_jobs(monkeypatch)
         spec, seed = ((ALIGNED_N2, 0) if case == "parent-range-raises"
                       else (RARE_FAULT, RARE_SEED))
         with pytest.raises(InactiveCodeError):

@@ -135,9 +135,7 @@ def test_keys_across_the_two_word_boundary(seed):
 
 def test_run_builds_one_seed_sequence_and_each_block_once(monkeypatch):
     # the slow path built one SeedSequence and one seeded Philox per block;
-    # now one Philox per run is re-keyed to each block in turn (in one
-    # range, since a helper's blocks are not counted here)
-    monkeypatch.setattr(metrics, "WORKERS", 1)
+    # now one Philox per run is re-keyed to each block in turn
     real, real_philox = np.random.SeedSequence, np.random.Philox
     made, built, philox = [], [], []
 
