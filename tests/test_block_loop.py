@@ -79,7 +79,8 @@ def reference_staggered_circle(levels, offsets, samples, streams):
         idx = np.floor((theta - offset) / cell + 0.5).astype(np.int64)
         center = offset + idx * cell
         theta_hat = wrap_angle(center + noise)
-        dist.update(2.0 - 2.0 * np.cos(theta - theta_hat))
+        t = np.tan((theta - theta_hat) / 2.0)
+        dist.update(4.0 * t * t / (1.0 + t * t))
         counts += np.bincount(idx % levels, minlength=levels)
         recon_parts.append(theta_hat)
     return _circle_reference(dist, counts, np.concatenate(recon_parts),
@@ -96,7 +97,8 @@ def reference_dithered_circle(levels, samples, streams):
         dither = (rng.random(size) - 0.5) * cell
         idx = np.floor((theta + dither) / cell + 0.5).astype(np.int64)
         theta_hat = wrap_angle(idx * cell - dither)
-        dist.update(2.0 - 2.0 * np.cos(theta - theta_hat))
+        t = np.tan((theta - theta_hat) / 2.0)
+        dist.update(4.0 * t * t / (1.0 + t * t))
         counts += np.bincount(idx % levels, minlength=levels)
         recon_parts.append(theta_hat)
     return _circle_reference(dist, counts, np.concatenate(recon_parts),

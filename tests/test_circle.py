@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from contextlib import redirect_stdout
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,34 @@ def test_closed_form_monotone_in_levels_and_offsets():
     for offsets in (1, 2, 4, 16):
         d = [staggered_circle_rd(lv, offsets).distortion for lv in (2, 4, 8)]
         assert all(a > b for a, b in zip(d, d[1:]))
+
+
+CLOSED_FORM_SIZES = (1, 2, 3, 2 ** 10, 2 ** 20, 2 ** 50)
+
+
+def mpmath_closed_form(levels, offsets):
+    """2 - 2*sinc(pi/(L*N))*sinc(pi/L), evaluated at 200 bits."""
+    with mpmath.workprec(200):
+        fine = mpmath.pi / (levels * offsets)
+        coarse = mpmath.pi / levels
+        return 2 - 2 * (mpmath.sin(fine) / fine) * (mpmath.sin(coarse) / coarse)
+
+
+def test_closed_forms_hold_their_relative_accuracy_at_large_levels():
+    # 2 - 2*sinc*sinc cancels as L grows: at L = 2^20 it was 2.2e-5 off,
+    # and at L = 2^50 it printed 0 for about 5.2e-30
+    for levels in CLOSED_FORM_SIZES:
+        for offsets in CLOSED_FORM_SIZES:
+            got = staggered_circle_rd(levels, offsets).distortion
+            exact = mpmath_closed_form(levels, offsets)
+            assert abs(got - exact) <= 1e-14 * exact, (levels, offsets)
+    frontier = one_shot_frontier(2 ** 10)
+    for levels in (1, 2, 3, 2 ** 10):
+        with mpmath.workprec(200):
+            x = mpmath.pi / levels
+            exact = 2 - 2 * mpmath.sin(x) / x
+        got = frontier[levels - 1].distortion
+        assert abs(got - exact) <= 1e-14 * exact, levels
 
 
 def test_many_offsets_approach_dithered_limit():
@@ -186,7 +215,7 @@ def test_circle_at_the_levels_cap_counts_without_a_chunk_long_bincount(
     # arrays besides them (42.1 MiB for the whole run); one range, since
     # tracemalloc sees neither a child's arrays nor the shared buffer
     monkeypatch.setattr(metrics, "WORKERS", 1)
-    peaks, before = [], []
+    peaks, before, moments = [], [], []
     engine = circle.simulate_chunks
 
     def measured(*args, **kwargs):
@@ -194,7 +223,9 @@ def test_circle_at_the_levels_cap_counts_without_a_chunk_long_bincount(
         before.append(peak)
         tracemalloc.reset_peak()
         try:
-            return engine(*args, **kwargs)
+            run = engine(*args, **kwargs)
+            moments.append(run[0])
+            return run
         finally:
             peaks.append(tracemalloc.get_traced_memory()[1] - current)
 
@@ -212,10 +243,15 @@ def test_circle_at_the_levels_cap_counts_without_a_chunk_long_bincount(
         tracemalloc.stop()
     assert code == 0
     assert out.getvalue().splitlines()[1:] == [
-        "circle-staggered,L=1048576;N=1,19.1715768,5.98522481e-12,"
+        "circle-staggered,L=1048576;N=1,19.1715768,5.98522489e-12,"
         "0.000610720785,monte-carlo,5,1048576"]
     assert len(peaks) == 1 and peaks[0] < 22 * 2 ** 20
     assert whole < 34 * 2 ** 20
+    # second route at the cap: the Monte Carlo distortion lies within its
+    # three-sigma radius of the closed form
+    dist = moments[0]
+    assert abs(dist.mean - staggered_circle_rd(2 ** 20, 1).distortion) \
+        <= dist.mc_radius()
 
 
 @pytest.mark.parametrize("simulate", [
@@ -247,3 +283,32 @@ def test_bin_fold_counts_each_index_mod_levels(levels):
     index = np.arange(bins.size) - shift
     want = np.bincount(index % levels, weights=bins, minlength=levels)
     assert circle._fold(bins, shift, levels).tolist() == want.tolist()
+
+
+def chord_gaps():
+    """Gaps d = theta - theta_hat over the step's whole range (-2 pi, 2 pi):
+    uniform, tiny (1e-12 to 1e-3, where 2 - 2*cos(d) cancels), near +-pi
+    (where tan(d/2) is huge) and near +-2 pi, with the ends of each."""
+    rng = np.random.default_rng(30)
+    sign = rng.choice([-1.0, 1.0], 13_000)
+    tiny = 10.0 ** rng.uniform(-12, -3, 13_000)
+    return np.concatenate([
+        rng.uniform(-math.tau, math.tau, 20_000),
+        sign[:5_000] * tiny[:5_000],
+        sign[5_000:9_000] * (math.pi + rng.uniform(-1e-3, 1e-3, 4_000)),
+        sign[9_000:] * (math.tau - tiny[9_000:]),
+        [1e-9, -1e-9, math.pi, -math.pi, math.tau - 1e-12, 1e-12 - math.tau],
+    ])
+
+
+def test_circle_step_chord_is_within_4_ulp_of_mpmath():
+    # 2 - 2*cos(d) was up to 9e15 ulp off: 0 for every gap under 1e-8
+    d = chord_gaps()
+    got = d.copy()
+    circle._chord2(got, scratch=np.empty_like(got))
+    ulps = []
+    with mpmath.workprec(200):
+        for x, y in zip(d.tolist(), got.tolist()):
+            exact = 2 - 2 * mpmath.cos(x)
+            ulps.append(float(abs(y - exact)) / np.spacing(float(exact)))
+    assert max(ulps) <= 4.0
