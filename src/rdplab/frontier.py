@@ -9,14 +9,19 @@ on (-pi, pi]; each lam yields R = (ln(2*pi) - h(Z)) / ln(2) bits and
 D = 2 - 2*E[cos(Z)].  With e = lam*(cos z - 1), q = C/(2*pi*exp(lam)) - 1
 and s = lam*(1 + q)*(E[cos Z] - 1) are the means of expm1(e) and e*exp(e)
 over the circle, and R is the divergence from the uniform law,
-(s/(1 + q) - ln(1 + q)) / ln 2, which cancels nothing at small lam.  Both
-means come from one (lam x node) array by the 2048-node trapezoid rule,
-which converges geometrically on periodic analytic integrands (Trefethen
-& Weideman, SIAM Review 2014) and is checked against its even nodes.  On
-the 425 lam of the Bessel test (400 in [1e-8, 1e4]), E[cos Z] is within
-3.4e-16 and R within 2.2e-14 bits of 40-digit mpmath (1.1e-15 and 2.8e-12
-bits of scipy's i1e/i0e); on [1e-8, 1e-3], R is within 3.0e-8 relative
-of lam^2/(4 ln 2) - 3 lam^4/(64 ln 2).  Entropies stay in nats until output.
+(s/(1 + q) - ln(1 + q)) / ln 2, which cancels nothing at small lam; D is
+-2s/(lam*(1 + q)), which cancels nothing at large lam (2 - 2*E[cos Z] is
+4.3e-13 relative off at lam = 1e4).  Both means come from one (lam x node)
+array by the 2048-node trapezoid rule, which converges geometrically on
+periodic analytic integrands (Trefethen & Weideman, SIAM Review 2014) and
+is checked against its even nodes.  On the 425 lam of the Bessel test
+(400 in [1e-8, 1e4]), E[cos Z] is within 3.4e-16 and R within 2.2e-14
+bits of 40-digit mpmath (1.1e-15 and 2.8e-12 bits of scipy's i1e/i0e); on
+[1e-8, 1e-3], R is within 3.0e-8 relative of lam^2/(4 ln 2) -
+3 lam^4/(64 ln 2).  Entropies stay in nats until output.  The accepted
+lam are [LAMBDA_MIN, LAMBDA_MAX] = [1e-8, 1e4]: below 1e-8 the rounding
+error of R grows as about 1e-15/lam relative (1e-6 at 1e-9, 7% at 1e-14),
+and D rounds to 2 near 1e-17, where R stops increasing.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ _COS_M1 = -2.0 * np.sin(np.arange(2048) * (math.pi / 2048)) ** 2
 TRAPEZOID_TOL = 1e-10
 # lam values per (lam x node) block: 4 MB per temporary
 LAM_BLOCK = 256
+LAMBDA_MIN = 1e-8
 LAMBDA_MAX = 1e4
 # Largest grid of the rdp-frontier command, the cap of the one-shot
 # frontier: 2^16 points print in about 2 s with a peak near 100 MB.
@@ -77,8 +83,13 @@ class VonMisesLikeLaw:
         return q.reshape(self.lam.shape), s.reshape(self.lam.shape)
 
     def mean_cos(self):
-        """E[cos Z]."""
+        """E[cos Z].  No library route reads it, since D has its own
+        form; the tests check it against the Bessel ratio I1/I0."""
         return 1.0 + self._s / (self.lam * (1.0 + self._q))
+
+    def distortion(self):
+        """D = 2 - 2*E[cos Z], as -2s/(lam*(1 + q)), without cancelling."""
+        return -2.0 * self._s / (self.lam * (1.0 + self._q))
 
     def divergence_nats(self):
         """ln(2*pi) - h(Z), the divergence from the uniform law on the
@@ -86,6 +97,8 @@ class VonMisesLikeLaw:
         return self._s / (1.0 + self._q) - np.log1p(self._q)
 
     def pdf(self, z):
+        """The density; no library route calls it, but the tests integrate
+        it, and every law in the package has its density."""
         return ((np.abs(z) <= math.pi) * np.exp(self.lam * (np.cos(z) - 1.0))
                 / (math.tau * (1.0 + self._q)))
 
@@ -97,36 +110,30 @@ def rdp_point(lam: float) -> FrontierPoint:
 
 def rdp_curve(lam_grid) -> list[FrontierPoint]:
     """Frontier points for an increasing grid of concentrations in
-    (0, 1e4], computed as one (lam x node) array.
+    [LAMBDA_MIN, LAMBDA_MAX] = [1e-8, 1e4], computed as one (lam x node)
+    array.
 
     Verifies the parametric monotonicity (rate strictly increasing,
     distortion strictly decreasing along the grid); a violation means the
     quadrature has failed and is raised rather than returned.
     """
     lams = [float(v) for v in lam_grid]
-    if not (lams and 0.0 < lams[0] <= lams[-1] <= LAMBDA_MAX
+    if not (lams and LAMBDA_MIN <= lams[0] <= lams[-1] <= LAMBDA_MAX
             and all(a < b for a, b in zip(lams, lams[1:]))):
         raise ValueError(f"lambda grid must be nonempty, strictly increasing "
-                         f"and within (0, {LAMBDA_MAX:g}]")
+                         f"and within [{LAMBDA_MIN:g}, {LAMBDA_MAX:g}]")
     rates, dists = _rates_and_distortions(lams)
     return [FrontierPoint(float(r), float(d), "quadrature", f"lambda={lam:g}")
             for lam, r, d in zip(lams, rates, dists)]
 
 
-def _rates_and_distortions(lams, ends=None):
+def _rates_and_distortions(lams):
     """Arrays of R (bits) and D along an increasing lam grid, checked for
-    the parametric monotonicity that ``rdp_curve`` promises.  With
-    ``ends``, the (R, D) of the grid's first and last lam, only the points
-    between them are evaluated."""
-    inner = slice(None) if ends is None else slice(1, -1)
-    law = VonMisesLikeLaw(lams[inner])
+    the parametric monotonicity that ``rdp_curve`` promises."""
+    law = VonMisesLikeLaw(lams)
     # rate can round to a hair below zero in the lam -> 0 limit
     rates = np.maximum(law.divergence_nats() / math.log(2.0), 0.0)
-    dists = 2.0 - 2.0 * law.mean_cos()
-    if ends is not None:
-        (r0, d0), (r1, d1) = ends
-        rates = np.concatenate(([r0], rates, [r1]))
-        dists = np.concatenate(([d0], dists, [d1]))
+    dists = law.distortion()
     bad = np.flatnonzero(~((rates[1:] > rates[:-1])
                            & (dists[1:] < dists[:-1])))
     if bad.size:
@@ -142,20 +149,19 @@ def rate_at_distortion(distortion: float) -> float:
 
     Each round evaluates R and D, as rdp_curve does, on BRACKET_POINTS
     geometric lam points spanning the bracket of the answer (without
-    building frontier points), and keeps the grid interval
-    where D crosses the target, BRACKET_POINTS - 1 times narrower in
-    log(lam).  The next round's grid keeps those two points exactly, with
-    their R and D, and evaluates only the points between them.  Once the
-    bracket is under BRACKET_WIDTH in log(lam), a cubic through four grid
-    points interpolates the rate at the target D.  Valid for distortions
-    reachable with lam in (0, 1e4]; at or above D(1e-8) the answer is
-    R(1e-8).
+    building frontier points), and keeps the grid interval where D
+    crosses the target, BRACKET_POINTS - 1 times narrower in log(lam), as
+    the next round's bracket.  Once the bracket is under BRACKET_WIDTH in
+    log(lam), a cubic through four grid points interpolates the rate at
+    the target D.  Valid for distortions reachable with lam in
+    [LAMBDA_MIN, LAMBDA_MAX]; at or above D(LAMBDA_MIN) the answer is
+    R(LAMBDA_MIN).
     """
     if not 0.0 < distortion < 2.0:
         raise ValueError(f"distortion must lie in (0, 2), got {distortion}")
-    grid, ends = np.geomspace(1e-8, LAMBDA_MAX, BRACKET_POINTS), None
+    grid = np.geomspace(LAMBDA_MIN, LAMBDA_MAX, BRACKET_POINTS)
     while True:
-        rates, d = _rates_and_distortions(grid, ends)
+        rates, d = _rates_and_distortions(grid)
         above = int(np.count_nonzero(d > distortion))   # D falls along lam
         if above == BRACKET_POINTS:
             raise ValueError(f"distortion {distortion} below the lam <= 1e4 "
@@ -164,8 +170,6 @@ def rate_at_distortion(distortion: float) -> float:
             return float(rates[0])
         if math.log(grid[-1] / grid[0]) < BRACKET_WIDTH:
             break
-        ends = [(rates[k], d[k]) for k in (above - 1, above)]
-        # geomspace returns its end points exactly
         grid = np.geomspace(grid[above - 1], grid[above], BRACKET_POINTS)
     # Lagrange cubic in D through the four grid points around the target
     first = min(max(above - 2, 0), BRACKET_POINTS - 4)

@@ -15,6 +15,8 @@ helpers at its first split run and keeps them for every later one; they
 share with it one anonymous ``mmap`` arena, made before they fork.  Each
 helper gets its range as a pickled job, whose arrays (a boundary table)
 the caller has copied into the arena, and answers with one status byte.
+One layout places a run's arrays in the arena and its job's arrays after
+them, and one runner runs the ranges of every run, split or not.
 Every range writes its reconstructions, its count row and its blocks'
 moments into the run's arrays, in the arena when the run is split, and
 the caller combines the block moments in block order, so no chunk length
@@ -118,7 +120,9 @@ def ks_threshold(n_samples: int) -> float:
     It uses the asymptotic coefficient KS_COEFF_01 at every n, which is
     above the exact finite-n critical value, so the test is slightly
     conservative: a sample of the law itself fails it a little less often
-    than 1 time in 100, most so at small n.
+    than 1 time in 100, most so at small n.  No library route calls it: it
+    is the tests' KS acceptance rule, until each row reports its own
+    verdict.
     """
     return KS_COEFF_01 / math.sqrt(n_samples)
 
@@ -129,10 +133,11 @@ class RunningMoments:
     The engine keeps no accumulator while it runs: each block range writes
     its blocks' means and m2 into two run-long arrays indexed by block, and
     the caller combines them in block order, so every worker count folds
-    the same sequence.  ``update`` folds one batch, as the per-block
-    references in the tests do.  (Threads would not pay: splitting a run
-    over two measured 0.8-1.13x on 2^20 Gaussian samples, 2-core box,
-    since 1024-sample draws hand the interpreter lock back and forth.)
+    the same sequence.  ``update`` folds one batch; no library route calls
+    it, but the tests' per-block references do, and benchmarks/tracing.py
+    wraps it.  (Threads would not pay: splitting a run over two measured
+    0.8-1.13x on 2^20 Gaussian samples, 2-core box, since 1024-sample
+    draws hand the interpreter lock back and forth.)
     """
 
     __slots__ = ("n", "mean", "m2")
@@ -178,17 +183,18 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
 
     A run of at least PARALLEL_MIN_BLOCKS blocks is split into up to
     WORKERS contiguous block ranges, each starting on a CHUNK_BLOCKS
-    boundary, so every range runs the chunks one range would run.  Range
-    0 runs in the calling process and each other range in a helper
-    process this process keeps across calls (see :func:`_run_split`).
-    The streams, draws and step travel to the helpers pickled, so a step
-    that must split is a module-level function, or one bound with
-    ``functools.partial``.  Their contiguous arrays, a boundary table's,
-    travel out of band (PEP 574): the caller copies them into the arena
-    after the run's arrays, once per call, and the helpers load them from
-    there.  A shorter run, one on a machine with one core or without
-    ``os.fork``, one from a process that runs other threads, and one
-    whose step or draws do not pickle, or pickle to more than
+    boundary, so every range runs the chunks one range would run.  Every
+    run, split or not, runs its ranges through :func:`_run_split`: range 0
+    in the calling process and each other range in a helper process this
+    process keeps across calls.  The streams, draws and step travel to the
+    helpers pickled, so a step that must split is a module-level
+    function, or one bound with ``functools.partial``.  Their contiguous
+    arrays, a boundary table's, travel out of band (PEP 574): the caller
+    copies them into the arena after the run's arrays, where
+    :func:`_run_layout` places them, once per call, and the helpers load
+    them from there.  A shorter run, one on a machine with one core or
+    without ``os.fork``, one from a process that runs other threads, and
+    one whose step or draws do not pickle, or pickle to more than
     MAX_JOB_BYTES_PER_SAMPLE bytes per sample in all (a large boundary
     table), is one range run in the calling process.
 
@@ -242,16 +248,16 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
     run = (streams, samples, draws, step, work, CHUNK_BLOCKS)
     if parts > 1:
         job = _pickled(run + (n_bins, parts),
-                       _run_layout(samples, parts, n_bins)[1],
                        MAX_JOB_BYTES_PER_SAMPLE * samples)
     if job is None:
-        parts = 1
-    else:
-        stream, buffers, spans, size = job
-        pool = _pool_for(parts - 1, size)
+        parts, job = 1, (None, ())
+    stream, buffers = job
+    layout, spans, end = _run_layout(samples, parts, n_bins, buffers)
+    if parts > 1:
+        pool = _pool_for(parts - 1, end)
         for buf, (at, nbytes) in zip(buffers, spans):
             pool.arena[at:at + nbytes] = buf.raw()
-    recon, counts, moments = _run_arrays(samples, parts, n_bins,
+    recon, counts, moments = _run_arrays(layout,
                                          None if pool is None else pool.arena)
     counts[...] = 0                     # the ranges write everything else
     edges = [min(i * chunks // parts * CHUNK_BLOCKS, blocks)
@@ -259,56 +265,53 @@ def simulate_chunks(streams, samples: int, draws, step, n_bins: int,
     ranges = [functools.partial(_run_range, *run, edges[i], edges[i + 1],
                                 recon, counts[i], moments)
               for i in range(parts)]
-    if pool is None:
-        ranges[0]()
-    else:
-        _run_split(pool, ranges, edges, stream, spans)
+    _run_split(pool, ranges, edges, stream, spans)
     dist = RunningMoments()
     for k, (mean, m2) in enumerate(zip(*moments.tolist())):
         dist._combine(min(BLOCK, samples - k * BLOCK), mean, m2)
-    # a split run's counts leave the arena as an array of their own
-    return dist, counts[0] if pool is None else counts.sum(axis=0), recon
+    # a split run's counts leave the arena as an array of their own; a
+    # one-range run's row is returned as a view, copying nothing
+    return dist, counts[0] if parts == 1 else counts.sum(axis=0), recon
 
 
-def _pickled(job, at: int, cap: int):
-    """``job`` pickled with its contiguous arrays out of band (PEP 574), or
-    None if it does not pickle or its stream and arrays come to more than
-    ``cap`` bytes: the pickle stream, the arrays' buffers, their (offset,
-    nbytes) spans in the arena, laid 8-byte aligned from byte ``at`` on,
-    and the byte where the last span ends."""
-    buffers, spans = [], []
+def _pickled(job, cap: int):
+    """``job`` pickled with its contiguous arrays out of band (PEP 574):
+    the pickle stream and the arrays' buffers, or None if it does not
+    pickle or its stream and arrays come to more than ``cap`` bytes."""
+    buffers = []
     try:
         stream = pickle.dumps(job, 5, buffer_callback=buffers.append)
     except (pickle.PicklingError, TypeError, AttributeError):
         return None
-    sizes = [buf.raw().nbytes for buf in buffers]
-    if len(stream) + sum(sizes) > cap:
+    if len(stream) + sum(buf.raw().nbytes for buf in buffers) > cap:
         return None
-    for nbytes in sizes:
-        spans.append((at, nbytes))
-        at += -(-nbytes // 8) * 8
-    return stream, buffers, spans, at
+    return stream, buffers
 
 
-def _run_layout(samples: int, parts: int, n_bins: int):
-    """The (shape, dtype, offset) of each of a run's arrays, the
-    reconstructions, the (parts x n_bins) counts and the (2 x blocks)
-    block means and m2, laid one after another from byte 0 of the arena,
-    and the byte where the last one ends."""
-    layout, at = [], 0
+def _run_layout(samples: int, parts: int, n_bins: int, buffers=()):
+    """Where a run lies in the arena, from byte 0: the (shape, dtype,
+    offset) of each of its arrays, the reconstructions, the (parts x
+    n_bins) counts and the (2 x blocks) block means and m2, one after
+    another; after them the (offset, nbytes) span of each out-of-band job
+    buffer in ``buffers``, 8-byte aligned; and the byte where the last
+    one ends."""
+    layout, spans, at = [], [], 0
     for shape, dtype in (((samples,), np.float64),
                          ((parts, n_bins), np.int64),
                          ((2, -(-samples // BLOCK)), np.float64)):
         layout.append((shape, dtype, at))
         at += np.dtype(dtype).itemsize * math.prod(shape)
-    return layout, at
+    for buf in buffers:
+        at = -(-at // 8) * 8
+        spans.append((at, buf.raw().nbytes))
+        at += spans[-1][1]
+    return layout, spans, at
 
 
-def _run_arrays(samples: int, parts: int, n_bins: int, arena=None):
-    """A run's arrays (see :func:`_run_layout`): zeroed arrays on the
-    heap, or views of ``arena``, which hold what the arena's last run
-    left."""
-    layout, _ = _run_layout(samples, parts, n_bins)
+def _run_arrays(layout, arena=None):
+    """The arrays of a run's ``layout`` (see :func:`_run_layout`): zeroed
+    arrays on the heap, or views of ``arena``, which hold what the arena's
+    last run left."""
     if arena is None:
         return [np.zeros(shape, dtype) for shape, dtype, _ in layout]
     return [np.frombuffer(arena, dtype, math.prod(shape), at).reshape(shape)
@@ -386,26 +389,28 @@ def _run_split(pool, ranges, edges, stream, spans) -> None:
     """Run every range of ``ranges`` (blocks ``edges[i]`` ..
     ``edges[i + 1]`` - 1 of the run pickled in ``stream``, whose
     out-of-band arrays lie at ``spans`` in the arena), the first in this
-    process and each other one in a helper of ``pool``.
+    process and each other one in a helper of ``pool``; with no pool (a run
+    that is not split) its one range runs here.
 
     A helper gets its range's index and blocks and the spans, pickled, then
     the stream, writes its results into the arena and reports by one
     status byte (see :func:`_serve`).  A range that gets no helper (none
     could be forked, or its job could not be written) runs here, after
-    the first.  This
-    process reads the status of every helper it sent a job before it
-    returns or raises, so no helper writes into the arena after the call;
-    when it raises itself, it kills its busy helpers instead.  Then it
-    raises the error of the first range that raised.  A range needs
-    nothing from the blocks before it, so it raises the same exception
-    wherever it runs: a helper whose range raised has its range run again
-    here, which raises its exception.  A helper that ends (its status pipe
-    reaches end of file), or whose range returns when run again here,
-    comes back as a RuntimeError that names its range.
+    the first.  This process reads the status of every helper it sent a
+    job before it returns or raises, so no helper writes into the arena
+    after the call; when it raises itself, it kills its busy helpers
+    instead.  Then it raises the error of the first range that raised, as
+    itself.  A range needs nothing from the blocks before it, so it raises
+    the same exception wherever it runs: a helper whose range raised has
+    its range run again here, which raises its exception.  A helper that
+    ends (its status pipe reaches end of file), or whose range returns
+    when run again here, comes back as a RuntimeError that names its
+    range.
     """
     errors, rerun, busy = [None] * len(ranges), set(), {}
+    helpers = [] if pool is None else pool.helpers[:len(ranges) - 1]
     try:
-        for i, helper in enumerate(pool.helpers[:len(ranges) - 1], 1):
+        for i, helper in enumerate(helpers, 1):
             if pool.send(helper, pickle.dumps((i, edges[i], edges[i + 1],
                                                spans)) + stream):
                 busy[i] = helper
@@ -564,10 +569,10 @@ if hasattr(os, "register_at_fork"):
 def _serve(jobs: int, status: int, arena, inherited) -> None:
     """A helper's life: close the ``inherited`` pipe ends, then for each
     job on the ``jobs`` pipe (its range's index, first and last-plus-one
-    block and the arena spans of the run's arrays, then the pickled run)
-    run the range into its arrays in ``arena`` and write its status byte to
-    ``status``: 0 once the range returns, RANGE_RAISED once it raised an
-    Exception.  The run's arrays are views of the arena.  Leaves by
+    block and the arena spans of the job's out-of-band arrays, then the
+    pickled run) run the range into its arrays in ``arena``, laid out by
+    :func:`_run_layout`, and write its status byte to ``status``: 0 once
+    the range returns, RANGE_RAISED once it raised an Exception.  Leaves by
     ``os._exit``: with status 0 when the job pipe reaches end of file, and
     1 if anything else escapes, a job that does not load included."""
     code = 1
@@ -583,8 +588,8 @@ def _serve(jobs: int, status: int, arena, inherited) -> None:
                 break
             *run, n_bins, parts = pickle.load(jobs, buffers=[
                 view[at:at + nbytes] for at, nbytes in spans])
-            recon, counts, moments = _run_arrays(run[1], parts, n_bins,
-                                                 arena)
+            recon, counts, moments = _run_arrays(
+                _run_layout(run[1], parts, n_bins)[0], arena)
             error = _error(functools.partial(
                 _run_range, *run, start, stop, recon, counts[i], moments))
             os.write(status, bytes([0 if error is None else RANGE_RAISED]))

@@ -91,6 +91,9 @@ class UniformSource:
         return self.lo, self.hi
 
     def pdf(self, x):
+        # no library route reads a density; README names it among the
+        # source laws, and the Gauss-Legendre route of benchmarks/checks.py
+        # reads both sources'
         return ((x >= self.lo) & (x <= self.hi)) / (self.hi - self.lo)
 
     def cdf(self, x):
@@ -105,6 +108,9 @@ class UniformSource:
     standard = DOUBLES
 
     def sample(self, rng: np.random.Generator, size=None, out=None):
+        # the engine draws through ``standard``; this is the sources' public
+        # sampler (README's library example samples a GaussianSource), and
+        # benchmarks/tracing.py wraps both sources'
         return self.from_standard(rng.random(size, out=out))
 
     def from_standard(self, u):
@@ -152,6 +158,7 @@ class GaussianSource:
         return self.mu - half, self.mu + half
 
     def pdf(self, x):
+        # read by benchmarks/checks.py (see UniformSource.pdf)
         z = (x - self.mu) / self.sigma
         return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(math.tau))
 
@@ -168,6 +175,8 @@ class GaussianSource:
     standard = NORMALS
 
     def sample(self, rng: np.random.Generator, size=None, out=None):
+        # README's sampler, wrapped by benchmarks/tracing.py (see
+        # UniformSource.sample)
         return self.from_standard(rng.standard_normal(size, out=out))
 
     def from_standard(self, z):

@@ -226,7 +226,8 @@ def build_boundaries(spec: StaggeredSpec) -> BoundaryTable:
 def decode(table: BoundaryTable, j: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Reconstructions for an array of global codes j = N*i + n: each a
     draw from the source conditioned on [a(j), b(j)], by the inverse CDF of
-    its uniform in ``u`` (on [0, 1), one per code).
+    its uniform in ``u`` (on [0, 1), one per code).  The simulators decode
+    through ``_decode_rows``; this is README's public decoder.
     """
     return _decode_rows(table, np.subtract(j, table.j_first), u)
 

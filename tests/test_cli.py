@@ -106,6 +106,15 @@ def test_rdp_frontier_from_tiny_lambda(capsys):
     assert all(a < b for a, b in zip(rates, rates[1:]))
 
 
+def test_rdp_frontier_refuses_lambda_below_its_floor(capsys):
+    # D rounds to 2 near lam = 1e-17, which the monotonicity check took
+    # for a quadrature fault
+    code, out, err = run_cli(capsys, "rdp-frontier", "--lambda-min", "1e-20",
+                             "--lambda-max", "1e-19", "--points", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("rdplab: error:") and "[1e-08, 10000]" in err
+
+
 def test_scalar_exact_literal_mode_rejects_an_empty_interval(capsys,
                                                              paper_tables):
     # on the aligned uniform grid the paper's table's first code has an

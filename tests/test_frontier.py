@@ -86,9 +86,8 @@ def test_rate_at_distortion_matches_bessel_bisection(distortion):
 
 
 def test_rate_at_distortion_takes_a_few_curve_calls(monkeypatch):
-    # each bracket round evaluates R and D on one grid, without building
-    # frontier points; a round after the first keeps its bracket ends'
-    # R and D and evaluates only the points between them
+    # each bracket round evaluates R and D on one full grid, without
+    # building frontier points
     from rdplab import frontier
     calls = []
     law = frontier.VonMisesLikeLaw
@@ -100,7 +99,7 @@ def test_rate_at_distortion_takes_a_few_curve_calls(monkeypatch):
     monkeypatch.setattr(frontier, "VonMisesLikeLaw", counted)
     monkeypatch.setattr(frontier, "rdp_curve", None)
     rate_at_distortion(0.2)
-    assert calls == [frontier.BRACKET_POINTS] + [frontier.BRACKET_POINTS - 2] * 4
+    assert calls == [frontier.BRACKET_POINTS] * 5
 
 
 def rate_by_curve_points(distortion):
@@ -137,14 +136,14 @@ def test_rate_at_distortion_has_the_curve_points_bits():
 
 def test_monotonicity_failure_names_its_lambdas(monkeypatch):
     from rdplab import frontier
-    mean_cos = VonMisesLikeLaw.mean_cos
+    distortion = VonMisesLikeLaw.distortion
 
     def bent(law):
-        out = mean_cos(law)
+        out = distortion(law)
         out[2] = out[1]             # D stops falling between points 1 and 2
         return out
 
-    monkeypatch.setattr(VonMisesLikeLaw, "mean_cos", bent)
+    monkeypatch.setattr(VonMisesLikeLaw, "distortion", bent)
     grid = [0.5, 1.0, 2.0, 4.0]
     for call in (lambda: rdp_curve(grid),
                  lambda: frontier._rates_and_distortions(grid),
@@ -154,6 +153,25 @@ def test_monotonicity_failure_names_its_lambdas(monkeypatch):
             call()
     with pytest.raises(RuntimeError, match="lambda=1 and lambda=2$"):
         rdp_curve(grid)
+
+
+def test_distortion_keeps_its_relative_accuracy_at_large_lambda():
+    # 2 - 2 E[cos Z] cancels as lam grows: it was 3.0e-13 relative off at
+    # lam = 3e3 and 4.3e-13 at 1e4
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for lam in (1e2, 3e3, 1e4):
+            exact = 2 - 2 * mpmath.besseli(1, lam) / mpmath.besseli(0, lam)
+            got = rdp_point(lam).distortion
+            assert abs((got - exact) / exact) <= 1e-13, lam
+
+
+def test_lambda_below_the_floor_is_refused():
+    # below 1e-8 the rate's rounding error, about 1e-15/lam relative,
+    # passes 1e-8
+    with pytest.raises(ValueError, match=r"\[1e-08, 10000\]"):
+        rdp_point(1e-9)
+    assert rdp_point(1e-8).rate_bits > 0.0
 
 
 def test_law_works_elementwise_on_a_lambda_array():
